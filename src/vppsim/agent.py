@@ -346,6 +346,13 @@ def build_co_primal(p: UserProfile, tariff: Tariff, peers,
     return prob, lay
 
 
+def resolve_trade_cap(trade_cap: float | None, profiles) -> float:
+    """The per-pair trade bound; None means the largest fuse limit."""
+    if trade_cap is None:
+        return max(p.fuse_limit for p in profiles)
+    return trade_cap
+
+
 def build_centralized(profiles, tariff: Tariff,
                       trade_cap: float | None = None):
     """All households in one QP with pairwise trade consistency rows.
@@ -367,8 +374,7 @@ def build_centralized(profiles, tariff: Tariff,
     for p in profiles:
         if p.horizon != H:
             raise DimensionError("households disagree on horizon length")
-    if trade_cap is None:
-        trade_cap = max(p.fuse_limit for p in profiles)
+    trade_cap = resolve_trade_cap(trade_cap, profiles)
 
     layouts = {}
     offset = 0

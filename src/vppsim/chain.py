@@ -23,7 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coordinator import DualState, dual_update, lambda_update
+# dual_update and lambda_update are re-exported: perfbench's tracer test
+# reaches the contract's update rule through this module
+from .coordinator import (DualState, dual_update, lambda_update,  # noqa: F401
+                          step)
 from .agent import DualSlice
 from .model import Schedule, Tariff
 
@@ -200,9 +203,9 @@ class ContractState:
     """Coordination contract storage plus token accounts.
 
     Exposes the three contract entry points through call(): set_trading,
-    compute_dual, read_dual.  compute_dual delegates to the coordination
-    module's pure update functions, so the on-chain arithmetic is the
-    same float64 arithmetic the driver uses, down to the last bit.
+    compute_dual, read_dual.  compute_dual applies the coordination
+    module's pure `step`, so the on-chain arithmetic is the same float64
+    arithmetic as the in-process loop, down to the last bit.
     """
 
     def __init__(self, users, horizon: int, rho: float, balances: dict):
@@ -257,22 +260,20 @@ class ContractState:
             raise ContractError(
                 f"round {self.round} incomplete, missing trades from "
                 f"{', '.join(missing)}")
-        state = DualState(aux=self.aux, mult=self.mult, rho=self.rho,
-                          iteration=self.round)
-        new_aux = dual_update(self.trades, state)
-        new_mult = lambda_update(state, new_aux, self.trades)
-        self.aux = new_aux
-        self.mult = new_mult
-        self.round += 1
+        nxt = step(self.dual(), self.trades)
+        self.aux, self.mult, self.round = nxt.aux, nxt.mult, nxt.iteration
         self.submitted = set()
         return self.round
 
     def _read_dual(self, user: str) -> DualSlice:
         if user not in self.users:
             raise ContractError(f"unknown user {user!r}")
-        state = DualState(aux=self.aux, mult=self.mult, rho=self.rho,
-                          iteration=self.round)
-        return state.slice_for(user)
+        return self.dual().slice_for(user)
+
+    def dual(self) -> DualState:
+        """The coordination state, sharing this storage's arrays."""
+        return DualState(aux=self.aux, mult=self.mult, rho=self.rho,
+                         iteration=self.round)
 
     # -- serialization ----------------------------------------------------
 
@@ -423,9 +424,6 @@ class Chain:
 
     def next_nonce(self, sender: str) -> int:
         return self._nonces.get(sender, -1) + 1
-
-    def tx_counts(self) -> list:
-        return [len(b.txs) for b in self.blocks]
 
     # -- write side -------------------------------------------------------
 

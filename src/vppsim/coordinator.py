@@ -1,9 +1,12 @@
 """Coordination of the trading loop.
 
 Holds the dual state over all ordered household pairs, the closed-form
-auxiliary and multiplier updates, the convergence test, and the driver
-that alternates household subproblem solves with the coordination update
-until the trade vectors agree.
+auxiliary and multiplier updates combined into one pure `step`, the
+convergence test, and the driver that alternates trade exchanges with
+convergence checks until the trade vectors agree.  The driver never
+updates the dual state itself: each exchange returns the next state,
+computed by `step` in process (LocalTransport) or by the ledger's
+contract, which calls the same `step` (simnet.ChainTransport).
 
 The update formulas, per ordered pair (u, v) and slot t:
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import AgentRuntime, DualSlice
+from .agent import AgentRuntime, DualSlice, resolve_trade_cap
 from .model import CO, InvalidInput, Schedule, Tariff, check_feasibility
 
 
@@ -52,9 +55,6 @@ class DualState:
                for u in users for v in users if u != v}
         mult = {k: np.zeros(horizon) for k in aux}
         return cls(aux=aux, mult=mult, rho=rho, iteration=0)
-
-    def users(self):
-        return sorted({u for u, _ in self.aux})
 
     def slice_for(self, u: str) -> DualSlice:
         """The (u, .) rows only; this is all a household may see."""
@@ -93,6 +93,14 @@ def lambda_update(state: DualState, aux: PairMap, trades: PairMap) -> PairMap:
     return {k: state.mult[k] + state.rho
             * (aux[k] - np.asarray(trades[k], float))
             for k in state.mult}
+
+
+def step(state: DualState, trades: PairMap) -> DualState:
+    """One coordination update: auxiliary trades, then multipliers."""
+    aux = dual_update(trades, state)
+    mult = lambda_update(state, aux, trades)
+    return DualState(aux=aux, mult=mult, rho=state.rho,
+                     iteration=state.iteration + 1)
 
 
 @dataclass
@@ -162,25 +170,21 @@ class LocalTransport:
                  qp_settings=None):
         profiles = sorted(profiles, key=lambda p: p.user_id)
         ids = [p.user_id for p in profiles]
-        cap = cfg.trade_cap
-        if cap is None:
-            cap = max(p.fuse_limit for p in profiles)
+        cap = resolve_trade_cap(cfg.trade_cap, profiles)
         self.agents = {
             p.user_id: AgentRuntime(
                 p, tariff, [v for v in ids if v != p.user_id],
                 cfg.rho, cap, settings=qp_settings)
             for p in profiles}
 
-    def exchange(self, state: DualState) -> PairMap:
+    def exchange(self, state: DualState) -> tuple[PairMap, DualState]:
+        """One round of agent solves; returns the trades and next state."""
         trades = {}
         for u in sorted(self.agents):
             per_peer = self.agents[u].solve_round(state.slice_for(u))
             for v, vec in per_peer.items():
                 trades[(u, v)] = vec
-        return trades
-
-    def on_state(self, state: DualState):
-        pass
+        return trades, step(state, trades)
 
     def schedules(self):
         return {u: a.schedule for u, a in self.agents.items()}
@@ -191,11 +195,12 @@ class LocalTransport:
 
 def run_decentralized(profiles, tariff: Tariff, cfg: AlgoConfig,
                       transport=None, feas_tol: float = 1e-6) -> RunResult:
-    """Alternate household solves with coordination updates.
+    """Alternate trade exchanges with convergence checks.
 
-    Starts from zero multipliers and zero auxiliary trades.  Stops when
-    the convergence test passes or cfg.max_iter is exhausted (the result
-    is then flagged converged=False and carries the last iterate).
+    Starts from zero multipliers and zero auxiliary trades; each exchange
+    returns the next dual state.  Stops when the convergence test passes
+    or cfg.max_iter is exhausted (the result is then flagged
+    converged=False and carries the last iterate).
     """
     profiles = sorted(profiles, key=lambda p: p.user_id)
     if len(profiles) < 2:
@@ -207,17 +212,12 @@ def run_decentralized(profiles, tariff: Tariff, cfg: AlgoConfig,
     trace: list[TraceRecord] = []
     trades: PairMap = {}
     converged = False
-    rep = None
-    for k in range(1, cfg.max_iter + 1):
-        trades = transport.exchange(state)
-        new_aux = dual_update(trades, state)
+    for _ in range(cfg.max_iter):
         prev_mult = state.mult
-        new_mult = lambda_update(state, new_aux, trades)
-        state = DualState(aux=new_aux, mult=new_mult, rho=cfg.rho,
-                          iteration=k)
+        trades, state = transport.exchange(state)
         rep = convergence(state, prev_mult, trades, cfg.eps1, cfg.eps2)
-        transport.on_state(state)
-        trace.append(TraceRecord(iteration=k, primal_gap=rep.primal_gap,
+        trace.append(TraceRecord(iteration=state.iteration,
+                                 primal_gap=rep.primal_gap,
                                  dual_gap=rep.dual_gap,
                                  costs=transport.costs()))
         if rep.converged:
@@ -230,9 +230,7 @@ def run_decentralized(profiles, tariff: Tariff, cfg: AlgoConfig,
             residual = max(residual, float(np.max(
                 np.abs(trades[(u, v)] + trades[(v, u)]))))
     schedules = transport.schedules()
-    cap = cfg.trade_cap
-    if cap is None:
-        cap = max(p.fuse_limit for p in profiles)
+    cap = resolve_trade_cap(cfg.trade_cap, profiles)
     feasible = all(
         check_feasibility(schedules[p.user_id], p, tariff, CO,
                           tol=feas_tol, trade_cap=cap).ok

@@ -17,8 +17,12 @@ declared through the standard divergence certificates of the splitting
 iteration.  A final polish step solves the KKT system of the detected
 active set to push residuals to machine precision.
 
-Everything is deterministic: identical inputs and settings produce
-identical iterates, iteration counts, and output bytes.
+Everything is deterministic at a fixed BLAS thread count: identical
+inputs and settings produce identical iterates, iteration counts, and
+output bytes.  The dense Cholesky solve may round differently under a
+different number of BLAS threads, so results, and the ledger's chain
+tips built from them, repeat bit for bit only when that count is
+pinned (OPENBLAS_NUM_THREADS=1, say).
 """
 
 from __future__ import annotations
@@ -549,90 +553,3 @@ def _kkt_max(problem, sol, q) -> float:
     if any(not np.isfinite(v) for v in vals):
         return np.inf
     return max(vals)
-
-
-# ---------------------------------------------------------------------------
-# plain-text round trip
-# ---------------------------------------------------------------------------
-
-def _fmt_row(v) -> str:
-    return " ".join(repr(float(x)) for x in v)
-
-
-def dump_problem(problem: QpProblem, path):
-    """Write a problem to a plain-text file (repr floats, exact round trip)."""
-    with open(path, "w") as fh:
-        fh.write("qp-text 1\n")
-        fh.write(f"n {problem.n} meq {problem.m_eq} "
-                 f"mineq {problem.m_ineq} const {problem.const!r}\n")
-        fh.write("quad\n")
-        for row in problem.quad:
-            fh.write(_fmt_row(row) + "\n")
-        fh.write("lin\n")
-        fh.write(_fmt_row(problem.lin) + "\n")
-        if problem.eq is not None:
-            fh.write("eq\n")
-            for row in problem.eq[0]:
-                fh.write(_fmt_row(row) + "\n")
-            fh.write(_fmt_row(problem.eq[1]) + "\n")
-        if problem.ineq is not None:
-            fh.write("ineq\n")
-            C, lo, hi = problem.ineq
-            for row in C:
-                fh.write(_fmt_row(row) + "\n")
-            fh.write(_fmt_row(lo) + "\n")
-            fh.write(_fmt_row(hi) + "\n")
-        if problem.names:
-            fh.write("names\n")
-            for idx in sorted(problem.names):
-                sym, slot = problem.names[idx]
-                fh.write(f"{idx} {sym} {slot}\n")
-
-
-def load_problem(path) -> QpProblem:
-    """Read a problem written by dump_problem."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != "qp-text 1":
-        raise QpError(f"{path}: not a qp-text file")
-    head = lines[1].split()
-    n, meq, mineq = int(head[1]), int(head[3]), int(head[5])
-    const = float(head[7])
-    pos = 2
-
-    def take(count):
-        nonlocal pos
-        rows = [np.array([float(t) for t in lines[pos + i].split()])
-                for i in range(count)]
-        pos += count
-        return rows
-
-    def expect(tag):
-        nonlocal pos
-        if pos >= len(lines) or lines[pos] != tag:
-            raise QpError(f"{path}: expected section {tag!r} at line {pos + 1}")
-        pos += 1
-
-    expect("quad")
-    quad = np.vstack(take(n)) if n else np.zeros((0, 0))
-    expect("lin")
-    lin = take(1)[0] if n else np.zeros(0)
-    eq = ineq = None
-    if meq:
-        expect("eq")
-        rows = take(meq + 1)
-        eq = (np.vstack(rows[:meq]), rows[meq])
-    if mineq:
-        expect("ineq")
-        rows = take(mineq + 2)
-        ineq = (np.vstack(rows[:mineq]), rows[mineq], rows[mineq + 1])
-    names = None
-    if pos < len(lines) and lines[pos] == "names":
-        pos += 1
-        names = {}
-        while pos < len(lines) and lines[pos].strip():
-            idx, sym, slot = lines[pos].split()
-            names[int(idx)] = (sym, int(slot))
-            pos += 1
-    return QpProblem(n=n, quad=quad, lin=lin, eq=eq, ineq=ineq,
-                     names=names, const=const)

@@ -5,9 +5,9 @@ the chain's dual state goes out to every agent over a per-link latency,
 each agent solves its local problem and sends a trading transaction
 back, the scheduled authority seals a block once the last transaction
 arrives, and the block application triggers the dual update.  A fixed
-seed fixes every latency draw, so the full tick-by-tick event log is
-reproducible; arrival order never matters because the update only runs
-on the complete trade map.
+seed fixes every latency draw, so at a fixed BLAS thread count (see
+qp.py) the full tick-by-tick event log is reproducible; arrival order
+never matters because the update only runs on the complete trade map.
 """
 
 import heapq
@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import AgentRuntime
 from .chain import Chain, digest, service_tx, trading_tx
-from .coordinator import AlgoConfig, DualState, PairMap
+from .coordinator import AlgoConfig, DualState, LocalTransport, PairMap
 from .model import Tariff
 
 
@@ -158,69 +157,39 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
     return RoundOutcome(trades=trades, block=block, end_tick=last_arrival)
 
 
-class ChainTransport:
+class ChainTransport(LocalTransport):
     """Message channel for the trading loop that routes through the chain.
 
-    Drop-in replacement for the in-process transport: each exchange runs
-    one simulated network round, and the driver's dual state is checked
-    bit-for-bit against the contract's own update after every block, so
-    any divergence between the two code paths fails loudly.
+    Drop-in replacement for the in-process transport, with the same
+    agents: each exchange runs one simulated network round, and the next
+    dual state is the one the contract committed with that round's
+    block, so the chain is the only place the coordination update runs.
     """
 
     def __init__(self, profiles, tariff: Tariff, cfg: AlgoConfig,
                  net: NetConfig | None = None, chain: Chain | None = None,
                  authorities=None, qp_settings=None):
-        profiles = sorted(profiles, key=lambda p: p.user_id)
-        ids = [p.user_id for p in profiles]
-        horizon = profiles[0].horizon
-        cap = cfg.trade_cap
-        if cap is None:
-            cap = max(p.fuse_limit for p in profiles)
-        self.agents = {
-            p.user_id: AgentRuntime(
-                p, tariff, [v for v in ids if v != p.user_id],
-                cfg.rho, cap, settings=qp_settings)
-            for p in profiles}
+        super().__init__(profiles, tariff, cfg, qp_settings=qp_settings)
         if chain is None:
             if authorities is None:
                 authorities = [f"auth{i}" for i in range(5)]
-            chain = Chain(ids, authorities, horizon, rho=cfg.rho)
+            chain = Chain(sorted(self.agents), authorities,
+                          profiles[0].horizon, rho=cfg.rho)
+        elif chain.state().rho != cfg.rho:
+            # the agents' penalty terms are built with cfg.rho
+            raise SimError(f"chain and agents disagree on rho {cfg.rho}")
         self.chain = chain
         self.net = net if net is not None else NetConfig()
         self.rng = np.random.default_rng(self.net.seed)
         self.events: list[EventRecord] = []
         self.tick = 0
-        self.rounds = 0
 
-    def exchange(self, state: DualState) -> PairMap:
-        self._check_against_chain(state)
-        outcome = run_round(self.rounds, self.agents, self.chain, self.net,
-                            self.rng, start_tick=self.tick,
+    def exchange(self, state: DualState) -> tuple[PairMap, DualState]:
+        outcome = run_round(state.iteration, self.agents, self.chain,
+                            self.net, self.rng, start_tick=self.tick,
                             events=self.events)
         self.tick = outcome.end_tick + 1
-        self.rounds += 1
-        return outcome.trades
-
-    def on_state(self, state: DualState):
-        self._check_against_chain(state)
-
-    def _check_against_chain(self, state: DualState):
-        committed = self.chain.state()
-        if committed.round != state.iteration:
-            raise SimError(
-                f"driver at iteration {state.iteration} but chain at "
-                f"round {committed.round}")
-        for k in state.aux:
-            if not (np.array_equal(state.aux[k], committed.aux[k])
-                    and np.array_equal(state.mult[k], committed.mult[k])):
-                raise SimError(
-                    f"dual state for pair {k} disagrees with the contract")
-
-    def schedules(self):
-        return {u: a.schedule for u, a in self.agents.items()}
-
-    def costs(self):
-        return {u: a.cost for u, a in self.agents.items()}
+        return outcome.trades, self.chain.state().dual()
 
     # -- post-convergence -------------------------------------------------
 

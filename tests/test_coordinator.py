@@ -26,7 +26,6 @@ def pair_state(rho=1.0, mult_uv=0.0, mult_vu=0.0, H=1):
 
 def test_zeros_layout_and_validation():
     s = DualState.zeros(["b", "a"], 3, 2.0)
-    assert s.users() == ["a", "b"]
     assert s.iteration == 0
     assert set(s.aux) == {("a", "b"), ("b", "a")}
     assert all(np.all(v == 0.0) for v in s.aux.values())

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from qp_oracle import brute_force_qp, random_bounded_qp
 from vppsim.qp import (INFEASIBLE, MAX_ITER, OPTIMAL, UNBOUNDED, QpProblem,
-                       QpSettings, QpSolver, dump_problem, kkt_residuals,
-                       load_problem, solve_qp)
+                       QpSettings, QpSolver, kkt_residuals, solve_qp)
 
 
 def test_active_bound_pins_the_minimizer():
@@ -108,23 +107,6 @@ def test_warm_restart_reaches_the_same_answer():
     assert again.status == OPTIMAL
     np.testing.assert_allclose(again.x, direct.x, atol=1e-6)
     assert again.iterations <= first.iterations
-
-
-def test_dump_load_round_trip_is_exact(tmp_path):
-    rng = np.random.default_rng(5)
-    prob = random_bounded_qp(rng)
-    path = tmp_path / "problem.txt"
-    dump_problem(prob, path)
-    back = load_problem(path)
-    assert back.n == prob.n
-    assert np.array_equal(back.quad, prob.quad)
-    assert np.array_equal(back.lin, prob.lin)
-    assert np.array_equal(back.ineq[0], prob.ineq[0])
-    if prob.eq is not None:
-        assert np.array_equal(back.eq[0], prob.eq[0])
-    a = solve_qp(prob)
-    b = solve_qp(back)
-    assert a.objective == b.objective
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,6 +8,7 @@ from vppsim.agent import AgentRuntime
 from vppsim.chain import Chain
 from vppsim.coordinator import (AlgoConfig, LocalTransport,
                                 run_decentralized)
+from vppsim.scenario_io import gen_synthetic
 from vppsim.simnet import (ChainTransport, NetConfig, RoundTimeout,
                            SimError, run_round, write_events)
 
@@ -121,19 +122,33 @@ def test_same_seed_reproduces_the_event_log_exactly():
 
 
 def test_networked_run_matches_the_in_process_run():
-    profiles = surplus_pair(2)
-    tariff = toy_tariff(2, pi_fit=0.1)
-    cfg = AlgoConfig()
+    # the contract's committed state drives the networked run, so every
+    # round's gaps and costs must match the in-process update bit for bit
+    sc = gen_synthetic(seed=1, users=3, slots=8, complementary=True)
+    profiles, tariff, cfg = sc.users, sc.tariff, sc.algo
     local = run_decentralized(profiles, tariff, cfg,
                               transport=LocalTransport(profiles, tariff,
                                                        cfg))
     transport = ChainTransport(profiles, tariff, cfg)
     networked = run_decentralized(profiles, tariff, cfg,
                                   transport=transport)
+    assert local.converged and local.iterations > 2
     assert networked.iterations == local.iterations
-    assert networked.costs == local.costs  # same solves, bit for bit
-    # one block per round, and the contract finished on the same state
+    assert networked.trace == local.trace
+    assert networked.costs == local.costs
+    # one block per round, and the contract finished on the last round
     assert transport.chain.height == networked.iterations
+    assert transport.chain.state().round == networked.iterations
+
+
+def test_chain_with_another_rho_is_refused():
+    profiles = surplus_pair(2)
+    tariff = toy_tariff(2, pi_fit=0.1)
+    chain = Chain(["ua", "ub"], ["a0"], 2, rho=2.0)
+    with pytest.raises(SimError):
+        ChainTransport(profiles, tariff, AlgoConfig(rho=1.0), chain=chain)
+    assert ChainTransport(profiles, tariff, AlgoConfig(rho=2.0),
+                          chain=chain).chain is chain
 
 
 def test_finalize_records_services_then_settles(tmp_path):
