@@ -83,18 +83,6 @@ class Layout:
         base = self.offset + 9 * self.horizon + 1 + j * self.horizon
         return slice(base, base + self.horizon)
 
-    def names(self) -> dict:
-        out = {}
-        for f in FIELDS:
-            for t, i in enumerate(range(self.sl(f).start, self.sl(f).stop)):
-                out[i] = (f, t)
-        out[self.peak] = ("peak", 0)
-        for v in self.peers:
-            for t, i in enumerate(range(self.trade(v).start,
-                                        self.trade(v).stop)):
-                out[i] = (f"p[{v}]", t)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # affine response maps
@@ -287,7 +275,7 @@ def build_sa_problem(p: UserProfile, tariff: Tariff):
     eqr, inr = _Rows(n), _Rows(n)
     const = _user_block(p, tariff, lay, quad, lin, eqr, inr, None)
     prob = QpProblem(n=n, quad=quad, lin=lin, eq=eqr.build(),
-                     ineq=inr.build(), names=lay.names(), const=const)
+                     ineq=inr.build(), const=const)
     return prob, lay
 
 
@@ -342,7 +330,7 @@ def build_co_primal(p: UserProfile, tariff: Tariff, peers,
     lin += dlin
     const += dconst
     prob = QpProblem(n=n, quad=quad, lin=lin, eq=eqr.build(),
-                     ineq=inr.build(), names=lay.names(), const=const)
+                     ineq=inr.build(), const=const)
     return prob, lay
 
 
@@ -400,12 +388,8 @@ def build_centralized(profiles, tariff: Tariff,
             sv = layouts[v].trade(u)
             for t in range(H):
                 eqr.add([su.start + t, sv.start + t], [1.0, 1.0], 0.0, 0.0)
-    names = {}
-    for u in ids:
-        for i, (sym, slot) in layouts[u].names().items():
-            names[i] = (f"{u}.{sym}", slot)
     prob = QpProblem(n=n, quad=quad, lin=lin, eq=eqr.build(),
-                     ineq=inr.build(), names=names, const=const)
+                     ineq=inr.build(), const=const)
     return prob, layouts
 
 

@@ -19,6 +19,7 @@ import hashlib
 import json
 import struct
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,11 +114,6 @@ def pair_key(u: str, v: str) -> str:
     return f"{u}|{v}"
 
 
-def split_pair(key: str):
-    u, v = key.split("|")
-    return u, v
-
-
 # ---------------------------------------------------------------------------
 # transactions and blocks
 # ---------------------------------------------------------------------------
@@ -199,6 +195,12 @@ def seal_block(height, parent, proposer, txs, state_root) -> Block:
 # contract storage
 # ---------------------------------------------------------------------------
 
+def _pair_layout(users):
+    """Pair keys u|v and the off-diagonal mask, in the same row-major order."""
+    return ([pair_key(u, v) for u in users for v in users if u != v],
+            ~np.eye(len(users), dtype=bool))
+
+
 class ContractState:
     """Coordination contract storage plus token accounts.
 
@@ -216,10 +218,10 @@ class ContractState:
         self.horizon = int(horizon)
         self.rho = float(rho)
         self.round = 0
-        self.trades = {(u, v): np.zeros(self.horizon)
-                       for u in users for v in users if u != v}
-        self.aux = {k: np.zeros(self.horizon) for k in self.trades}
-        self.mult = {k: np.zeros(self.horizon) for k in self.trades}
+        shape = (len(users), len(users), self.horizon)
+        self.trades = np.zeros(shape)
+        self.aux = np.zeros(shape)
+        self.mult = np.zeros(shape)
         self.balances = {str(a): float(b) for a, b in balances.items()}
         self.services: dict[str, dict] = {}
         self.submitted: set[str] = set()
@@ -245,13 +247,14 @@ class ContractState:
         if sorted(trades) != peers:
             raise ContractError(
                 f"trades for {user} must cover peers {peers}")
+        i = self.users.index(user)
         for v, vec in trades.items():
             vec = np.asarray(vec, float)
             if vec.shape != (self.horizon,):
                 raise ContractError(
                     f"trade vector {user}->{v} has length {vec.size}, "
                     f"expected {self.horizon}")
-            self.trades[(user, v)] = vec.copy()
+            self.trades[i, self.users.index(v)] = vec
         self.submitted.add(user)
 
     def _compute_dual(self):
@@ -272,23 +275,21 @@ class ContractState:
 
     def dual(self) -> DualState:
         """The coordination state, sharing this storage's arrays."""
-        return DualState(aux=self.aux, mult=self.mult, rho=self.rho,
-                         iteration=self.round)
+        return DualState(users=tuple(self.users), aux=self.aux,
+                         mult=self.mult, rho=self.rho, iteration=self.round)
 
     # -- serialization ----------------------------------------------------
 
     def payload(self) -> dict:
+        keys, off = _pair_layout(self.users)
         return {
             "users": list(self.users),
             "horizon": self.horizon,
             "rho": self.rho,
             "round": self.round,
-            "trades": {pair_key(u, v): vec
-                       for (u, v), vec in sorted(self.trades.items())},
-            "aux": {pair_key(u, v): vec
-                    for (u, v), vec in sorted(self.aux.items())},
-            "mult": {pair_key(u, v): vec
-                     for (u, v), vec in sorted(self.mult.items())},
+            "trades": dict(zip(keys, self.trades[off])),
+            "aux": dict(zip(keys, self.aux[off])),
+            "mult": dict(zip(keys, self.mult[off])),
             "balances": dict(sorted(self.balances.items())),
             "services": {u: s for u, s in sorted(self.services.items())},
             "submitted": sorted(self.submitted),
@@ -305,12 +306,11 @@ class ContractState:
         st = cls(users=p["users"], horizon=p["horizon"], rho=p["rho"],
                  balances=p["balances"])
         st.round = int(p["round"])
-        for key, vec in p["trades"].items():
-            st.trades[split_pair(key)] = np.asarray(vec, float)
-        for key, vec in p["aux"].items():
-            st.aux[split_pair(key)] = np.asarray(vec, float)
-        for key, vec in p["mult"].items():
-            st.mult[split_pair(key)] = np.asarray(vec, float)
+        keys, off = _pair_layout(st.users)
+        for name in ("trades", "aux", "mult"):
+            if sorted(p[name]) != sorted(keys):
+                raise ValueError(f"{name} must cover every ordered pair")
+            getattr(st, name)[off] = [p[name][k] for k in keys]
         st.services = {u: {k: np.asarray(v, float) for k, v in s.items()}
                        for u, s in p["services"].items()}
         st.submitted = set(p["submitted"])
@@ -623,101 +623,124 @@ def load_log(path) -> list:
     return records
 
 
+@contextmanager
+def _reading(height):
+    """Report a record of the wrong shape or missing a field as corruption."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
+        raise CorruptionError(height, f"malformed record ({exc!r})") from exc
+
+
 def replay(source) -> ContractState:
     """Rebuild contract state from a chain log, verifying every digest.
 
     Accepts a path or an already-loaded record list.  Raises
     CorruptionError naming the first block whose transactions, state
-    root, or seal disagree with the recorded values.
+    root, or seal disagree with the recorded values, or whose record is
+    malformed.
     """
     records = load_log(source) if not isinstance(source, list) else source
-    if not records or records[0].get("type") != RECORD_GENESIS:
-        raise CorruptionError(None, "log does not start with genesis")
-    genesis = records[0]
-    state = ContractState.from_payload(genesis["state"])
-    if state.root() != genesis["state_root"]:
-        raise CorruptionError(None, "genesis state root mismatch")
-    committee = list(genesis["authorities"])
-    parent = genesis["state_root"]
+    with _reading(None):
+        if not records or records[0].get("type") != RECORD_GENESIS:
+            raise CorruptionError(None, "log does not start with genesis")
+        genesis = records[0]
+        state = ContractState.from_payload(genesis["state"])
+        if state.root() != genesis["state_root"]:
+            raise CorruptionError(None, "genesis state root mismatch")
+        committee = list(genesis["authorities"])
+        parent = genesis["state_root"]
     height = 0
     for record in records[1:]:
-        kind = record.get("type")
-        if kind == RECORD_COMMITTEE:
+        with _reading(height):
+            kind = record.get("type")
+            if kind == RECORD_COMMITTEE:
+                if record["height"] != height:
+                    raise CorruptionError(
+                        height, "committee change at unexpected height")
+                committee = list(record["authorities"])
+                continue
+            if kind != RECORD_BLOCK:
+                raise CorruptionError(height,
+                                      f"unknown record type {kind!r}")
             if record["height"] != height:
                 raise CorruptionError(
-                    height, "committee change at unexpected height")
-            committee = list(record["authorities"])
-            continue
-        if kind != RECORD_BLOCK:
-            raise CorruptionError(height, f"unknown record type {kind!r}")
-        if record["height"] != height:
-            raise CorruptionError(
-                height, f"expected height {height}, found {record['height']}")
-        if record["parent"] != parent:
-            raise CorruptionError(height, "parent digest mismatch")
-        expected = committee[height % len(committee)]
-        if record["proposer"] != expected:
-            raise CorruptionError(
-                height, f"proposer {record['proposer']!r} is not the "
-                f"scheduled {expected!r}")
-        txs = []
-        for raw in record["txs"]:
-            recomputed = _tx_id(raw["sender"], raw["nonce"], raw["kind"],
-                                raw["payload"])
-            if recomputed != raw["txid"]:
+                    height,
+                    f"expected height {height}, found {record['height']}")
+            if record["parent"] != parent:
+                raise CorruptionError(height, "parent digest mismatch")
+            expected = committee[height % len(committee)]
+            if record["proposer"] != expected:
                 raise CorruptionError(
-                    height, f"transaction id mismatch for "
-                    f"{raw['sender']}:{raw['nonce']}")
-            txs.append(Transaction(sender=raw["sender"], nonce=raw["nonce"],
-                                   kind=raw["kind"], payload=raw["payload"],
-                                   txid=raw["txid"]))
-        for tx in txs:
-            apply_tx(state, tx)
-        root = state.root()
-        if root != record["state_root"]:
-            raise CorruptionError(height, "state root mismatch")
-        seal = _block_digest(height, parent, record["proposer"],
-                             [t.txid for t in txs], root)
-        if seal != record["digest"]:
-            raise CorruptionError(height, "block digest mismatch")
-        parent = record["digest"]
+                    height, f"proposer {record['proposer']!r} is not the "
+                    f"scheduled {expected!r}")
+            txs = [Transaction(**raw) for raw in record["txs"]]
+            for tx in txs:
+                if tx.txid != _tx_id(tx.sender, tx.nonce, tx.kind,
+                                     tx.payload):
+                    raise CorruptionError(height, "transaction id mismatch "
+                                          f"for {tx.sender}:{tx.nonce}")
+            for tx in txs:
+                apply_tx(state, tx)
+            root = state.root()
+            if root != record["state_root"]:
+                raise CorruptionError(height, "state root mismatch")
+            seal = _block_digest(height, parent, record["proposer"],
+                                 [t.txid for t in txs], root)
+            if seal != record["digest"]:
+                raise CorruptionError(height, "block digest mismatch")
+            parent = record["digest"]
         height += 1
     return state
 
 
 def dump_text(source) -> str:
-    """Render a chain log as human-readable structured text."""
+    """Render a chain log as human-readable structured text.
+
+    Raises CorruptionError, with the block height, on a malformed record.
+    """
     records = load_log(source) if not isinstance(source, list) else source
     lines = []
+    height = None
     for record in records:
-        kind = record.get("type")
-        if kind == RECORD_GENESIS:
-            state = record["state"]
-            lines.append("genesis")
-            lines.append(f"  operator   {record['operator']}")
-            lines.append(f"  authorities {' '.join(record['authorities'])}")
-            lines.append(f"  users      {' '.join(state['users'])}")
-            lines.append(f"  horizon    {state['horizon']}  "
-                         f"rho {state['rho']}")
-            for acct, bal in sorted(state["balances"].items()):
-                lines.append(f"  balance    {acct:<12} {bal}")
-            lines.append(f"  state_root {record['state_root']}")
-        elif kind == RECORD_COMMITTEE:
-            lines.append(f"committee change before block {record['height']}")
-            lines.append(f"  authorities {' '.join(record['authorities'])}")
-        elif kind == RECORD_BLOCK:
-            lines.append(f"block {record['height']}  "
-                         f"proposer {record['proposer']}  "
-                         f"txs {len(record['txs'])}")
-            lines.append(f"  parent     {record['parent']}")
-            for raw in record["txs"]:
-                summary = _tx_summary(raw)
-                lines.append(f"  tx {raw['txid'][:16]}  {summary}")
-            lines.append(f"  state_root {record['state_root']}")
-            lines.append(f"  digest     {record['digest']}")
-        else:
-            lines.append(f"unknown record type {kind!r}")
+        with _reading(height):
+            lines += _record_lines(record)
+        if height is None or record.get("type") == RECORD_BLOCK:
+            height = 0 if height is None else height + 1
     return "\n".join(lines) + "\n"
+
+
+def _record_lines(record: dict) -> list:
+    kind = record.get("type")
+    lines = []
+    if kind == RECORD_GENESIS:
+        state = record["state"]
+        lines.append("genesis")
+        lines.append(f"  operator   {record['operator']}")
+        lines.append(f"  authorities {' '.join(record['authorities'])}")
+        lines.append(f"  users      {' '.join(state['users'])}")
+        lines.append(f"  horizon    {state['horizon']}  "
+                     f"rho {state['rho']}")
+        for acct, bal in sorted(state["balances"].items()):
+            lines.append(f"  balance    {acct:<12} {bal}")
+        lines.append(f"  state_root {record['state_root']}")
+    elif kind == RECORD_COMMITTEE:
+        lines.append(f"committee change before block {record['height']}")
+        lines.append(f"  authorities {' '.join(record['authorities'])}")
+    elif kind == RECORD_BLOCK:
+        lines.append(f"block {record['height']}  "
+                     f"proposer {record['proposer']}  "
+                     f"txs {len(record['txs'])}")
+        lines.append(f"  parent     {record['parent']}")
+        for raw in record["txs"]:
+            summary = _tx_summary(raw)
+            lines.append(f"  tx {raw['txid'][:16]}  {summary}")
+        lines.append(f"  state_root {record['state_root']}")
+        lines.append(f"  digest     {record['digest']}")
+    else:
+        lines.append(f"unknown record type {kind!r}")
+    return lines
 
 
 def _tx_summary(raw: dict) -> str:

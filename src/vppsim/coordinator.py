@@ -8,14 +8,22 @@ updates the dual state itself: each exchange returns the next state,
 computed by `step` in process (LocalTransport) or by the ledger's
 contract, which calls the same `step` (simnet.ChainTransport).
 
+Trades, auxiliary trades and multipliers are (N, N, H) float64 arrays
+over the sorted user ids: [i, j] holds the slot vector of the ordered
+pair (users[i], users[j]) and the diagonal stays 0.  `stack_trades` is
+the one place households' {peer: vector} maps enter this form.
+
 The update formulas, per ordered pair (u, v) and slot t:
 
     aux'[u,v][t] = (rho * (p[u,v][t] - p[v,u][t])
                     - (mult[u,v][t] - mult[v,u][t])) / (2 * rho)
     mult[u,v][t] += rho * (aux'[u,v][t] - p[u,v][t])
 
-aux' is exactly antisymmetric by construction: the (v, u) entry is stored
-as the negation of the (u, v) entry.
+aux' is exactly antisymmetric by construction: the formula runs on the
+upper triangle (u < v) and the lower triangle stores its exact negation,
+aux'[v,u] = -aux'[u,v].  Evaluating the formula at (v, u) instead gives
++0.0 where the negation gives -0.0, and the ledger's state root commits
+to that sign.
 """
 
 from __future__ import annotations
@@ -32,74 +40,80 @@ class ProtocolError(RuntimeError):
     """Trade collection does not cover every ordered pair."""
 
 
-PairMap = dict  # (u, v) -> ndarray over slots
-
-
 @dataclass
 class DualState:
-    """Coordination state over all ordered pairs of distinct households."""
+    """Coordination state: (N, N, H) aux and mult over sorted `users`."""
 
-    aux: PairMap
-    mult: PairMap
+    users: tuple[str, ...]
+    aux: np.ndarray
+    mult: np.ndarray
     rho: float
     iteration: int = 0
 
     @classmethod
     def zeros(cls, users, horizon: int, rho: float) -> "DualState":
-        users = sorted(users)
+        users = tuple(sorted(users))
         if len(users) != len(set(users)):
             raise InvalidInput("duplicate user ids")
         if rho <= 0:
             raise InvalidInput(f"rho must be positive, got {rho}")
-        aux = {(u, v): np.zeros(horizon)
-               for u in users for v in users if u != v}
-        mult = {k: np.zeros(horizon) for k in aux}
-        return cls(aux=aux, mult=mult, rho=rho, iteration=0)
+        shape = (len(users), len(users), horizon)
+        return cls(users=users, aux=np.zeros(shape), mult=np.zeros(shape),
+                   rho=rho, iteration=0)
 
     def slice_for(self, u: str) -> DualSlice:
         """The (u, .) rows only; this is all a household may see."""
-        aux = {v: self.aux[(u, v)].copy() for (a, v) in self.aux if a == u}
-        mult = {v: self.mult[(u, v)].copy() for (a, v) in self.mult if a == u}
-        return DualSlice(aux=aux, mult=mult, rho=self.rho)
+        i = self.users.index(u)
+        aux, mult = self.aux[i].copy(), self.mult[i].copy()
+        peers = [(j, v) for j, v in enumerate(self.users) if j != i]
+        return DualSlice(aux={v: aux[j] for j, v in peers},
+                         mult={v: mult[j] for j, v in peers}, rho=self.rho)
 
 
-def _check_pairs(trades: PairMap, state: DualState):
-    missing = [k for k in state.aux if k not in trades]
+def stack_trades(users, horizon: int, rows: dict) -> np.ndarray:
+    """Stack rows[u][v], u's trade toward v, into one (N, N, H) array.
+
+    Raises ProtocolError unless every ordered pair of users is present.
+    """
+    pairs = [(u, v) for u in users for v in users if u != v]
+    missing = [(u, v) for u, v in pairs if v not in rows.get(u, {})]
     if missing:
-        raise ProtocolError(f"trades missing for pairs {sorted(missing)[:4]}")
+        raise ProtocolError(f"trades missing for pairs {missing[:4]}")
+    trades = np.zeros((len(users), len(users), horizon))
+    trades[~np.eye(len(users), dtype=bool)] = [rows[u][v] for u, v in pairs]
+    return trades
 
 
-def dual_update(trades: PairMap, state: DualState) -> PairMap:
+def _pairs(arr, state: DualState) -> np.ndarray:
+    arr = np.asarray(arr, float)
+    if arr.shape != state.aux.shape:
+        raise ProtocolError(f"pair array {arr.shape} != {state.aux.shape}")
+    return arr
+
+
+def dual_update(trades, state: DualState) -> np.ndarray:
     """Closed-form auxiliary update; exactly antisymmetric by construction."""
-    _check_pairs(trades, state)
-    rho = state.rho
-    aux = {}
-    for (u, v) in state.aux:
-        if u < v:
-            num = (rho * (np.asarray(trades[(u, v)], float)
-                          - np.asarray(trades[(v, u)], float))
-                   - (state.mult[(u, v)] - state.mult[(v, u)]))
-            a = num / (2.0 * rho)
-            aux[(u, v)] = a
-            aux[(v, u)] = -a
+    p = _pairs(trades, state)
+    rho, m = state.rho, state.mult
+    i, j = np.triu_indices(len(state.users), 1)
+    upper = (rho * (p[i, j] - p[j, i]) - (m[i, j] - m[j, i])) / (2.0 * rho)
+    aux = np.zeros_like(m)
+    aux[i, j] = upper
+    aux[j, i] = -upper
     return aux
 
 
-def lambda_update(state: DualState, aux: PairMap, trades: PairMap) -> PairMap:
+def lambda_update(state: DualState, aux, trades) -> np.ndarray:
     """Multiplier ascent step on the trade disagreement."""
-    _check_pairs(trades, state)
-    if set(aux) != set(state.mult):
-        raise ProtocolError("aux keys disagree with multiplier keys")
-    return {k: state.mult[k] + state.rho
-            * (aux[k] - np.asarray(trades[k], float))
-            for k in state.mult}
+    return state.mult + state.rho * (_pairs(aux, state)
+                                     - _pairs(trades, state))
 
 
-def step(state: DualState, trades: PairMap) -> DualState:
+def step(state: DualState, trades) -> DualState:
     """One coordination update: auxiliary trades, then multipliers."""
     aux = dual_update(trades, state)
     mult = lambda_update(state, aux, trades)
-    return DualState(aux=aux, mult=mult, rho=state.rho,
+    return DualState(users=state.users, aux=aux, mult=mult, rho=state.rho,
                      iteration=state.iteration + 1)
 
 
@@ -110,22 +124,24 @@ class ConvergenceReport:
     converged: bool
 
 
-def convergence(state: DualState, prev_mult: PairMap, trades: PairMap,
+def convergence(state: DualState, prev_mult, trades,
                 eps1: float, eps2: float) -> ConvergenceReport:
     """Trade agreement and multiplier movement.
 
     primal_gap sums the Euclidean norm of aux - trades over every ordered
     pair; dual_gap is the Euclidean norm of the multiplier change stacked
     over all pairs and slots.  Converged requires both below tolerance.
+    Both sums run over (u, v) then (v, u) for each u < v, a fixed order
+    that keeps the gaps identical to the last bit from run to run.
     """
-    _check_pairs(trades, state)
+    gap = state.aux - _pairs(trades, state)
+    moved = state.mult - np.asarray(prev_mult, float)
     primal = 0.0
     dual_sq = 0.0
-    for k in state.aux:
-        primal += float(np.linalg.norm(
-            state.aux[k] - np.asarray(trades[k], float)))
-        diff = state.mult[k] - prev_mult[k]
-        dual_sq += float(diff @ diff)
+    for i, j in zip(*np.triu_indices(len(state.users), 1)):
+        for a, b in ((i, j), (j, i)):
+            primal += float(np.linalg.norm(gap[a, b]))
+            dual_sq += float(moved[a, b] @ moved[a, b])
     dual = float(np.sqrt(dual_sq))
     return ConvergenceReport(primal_gap=primal, dual_gap=dual,
                              converged=primal <= eps1 and dual <= eps2)
@@ -177,13 +193,11 @@ class LocalTransport:
                 cfg.rho, cap, settings=qp_settings)
             for p in profiles}
 
-    def exchange(self, state: DualState) -> tuple[PairMap, DualState]:
+    def exchange(self, state: DualState) -> tuple[np.ndarray, DualState]:
         """One round of agent solves; returns the trades and next state."""
-        trades = {}
-        for u in sorted(self.agents):
-            per_peer = self.agents[u].solve_round(state.slice_for(u))
-            for v, vec in per_peer.items():
-                trades[(u, v)] = vec
+        rows = {u: self.agents[u].solve_round(state.slice_for(u))
+                for u in state.users}
+        trades = stack_trades(state.users, state.aux.shape[2], rows)
         return trades, step(state, trades)
 
     def schedules(self):
@@ -210,7 +224,7 @@ def run_decentralized(profiles, tariff: Tariff, cfg: AlgoConfig,
         transport = LocalTransport(profiles, tariff, cfg)
     state = DualState.zeros([p.user_id for p in profiles], H, cfg.rho)
     trace: list[TraceRecord] = []
-    trades: PairMap = {}
+    trades = np.zeros_like(state.aux)
     converged = False
     for _ in range(cfg.max_iter):
         prev_mult = state.mult
@@ -224,11 +238,7 @@ def run_decentralized(profiles, tariff: Tariff, cfg: AlgoConfig,
             converged = True
             break
 
-    residual = 0.0
-    for (u, v) in trades:
-        if u < v:
-            residual = max(residual, float(np.max(
-                np.abs(trades[(u, v)] + trades[(v, u)]))))
+    residual = float(np.max(np.abs(trades + trades.transpose(1, 0, 2))))
     schedules = transport.schedules()
     cap = resolve_trade_cap(cfg.trade_cap, profiles)
     feasible = all(

@@ -313,9 +313,6 @@ class ViolationReport:
     def worst(self) -> float:
         return max((v.amount for v in self.violations), default=0.0)
 
-    def constraints(self) -> set[str]:
-        return {v.constraint for v in self.violations}
-
     def __str__(self):
         if self.ok:
             return "feasible"

@@ -11,7 +11,7 @@ uniformly by stacking them into one system l <= M x <= u with l = u on the
 equality rows.  The splitting needs a single Cholesky factorization of
 Q + sigma I + M' diag(rho) M, which `QpSolver` caches so that repeated
 solves with a new linear term (the situation in the trading loop) are
-cheap.  Step sizes are rebalanced every `adapt_every` iterations from the
+cheap.  Step sizes are rebalanced every ADAPT_EVERY iterations from the
 primal/dual residual imbalance.  Infeasibility and unboundedness are
 declared through the standard divergence certificates of the splitting
 iteration.  A final polish step solves the KKT system of the detected
@@ -44,6 +44,16 @@ MAX_ITER = "max-iter"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
+# fixed solver constants; they favor accuracy over speed
+TOL = 1e-8              # residual and polish-acceptance tolerance
+STEP = 0.1              # initial splitting step
+SIGMA = 1e-6            # proximal regularization
+RELAX = 1.6             # over-relaxation
+ADAPT_EVERY = 100       # step rebalancing cadence
+EQ_STEP_SCALE = 1e3     # step multiplier on equality rows
+INF_TOL = 1e-7          # relative certificate tolerance
+RESCUE_EVERY = 2000     # stalled-iterate finish attempts
+
 
 # ---------------------------------------------------------------------------
 # problem container
@@ -55,9 +65,8 @@ class QpProblem:
 
     quad must be symmetric positive semidefinite.  `eq` is (A, b) or None,
     `ineq` is (C, lo, hi) or None with entries of lo/hi allowed to be
-    -inf/+inf.  `names` optionally maps variable index -> (symbol, slot)
-    for decoding and diagnostics.  `const` is an additive objective
-    constant so built problems can report model costs exactly.
+    -inf/+inf.  `const` is an additive objective constant so built
+    problems can report model costs exactly.
     """
 
     n: int
@@ -65,7 +74,6 @@ class QpProblem:
     lin: np.ndarray
     eq: tuple | None = None
     ineq: tuple | None = None
-    names: dict | None = None
     const: float = 0.0
 
     def __post_init__(self):
@@ -97,14 +105,6 @@ class QpProblem:
     def m_eq(self) -> int:
         return 0 if self.eq is None else self.eq[0].shape[0]
 
-    @property
-    def m_ineq(self) -> int:
-        return 0 if self.ineq is None else self.ineq[0].shape[0]
-
-    def objective(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.quad @ x + self.lin @ x + self.const)
-
     def stacked(self):
         """All constraint rows as one system l <= M x <= u."""
         blocks, lo, hi = [], [], []
@@ -120,33 +120,14 @@ class QpProblem:
             return (np.zeros((0, self.n)), np.zeros(0), np.zeros(0))
         return (np.vstack(blocks), np.concatenate(lo), np.concatenate(hi))
 
-    def validate(self, tol: float = 1e-8):
-        """Raise QpError unless quad is symmetric PSD (within tol)."""
-        asym = float(np.max(np.abs(self.quad - self.quad.T), initial=0.0))
-        scale = float(np.max(np.abs(self.quad), initial=0.0)) + 1.0
-        if asym > tol * scale:
-            raise QpError(f"quad asymmetric by {asym:.3e}")
-        if self.n:
-            w = np.linalg.eigvalsh(0.5 * (self.quad + self.quad.T))
-            if w[0] < -tol * scale:
-                raise QpError(f"quad has negative eigenvalue {w[0]:.3e}")
-
 
 @dataclass
 class QpSettings:
-    """Solver knobs; defaults favor accuracy over speed."""
+    """Per-solver knobs."""
 
-    tol: float = 1e-8
     max_iter: int = 200000
-    step: float = 0.1          # initial splitting step
-    sigma: float = 1e-6        # proximal regularization
-    relax: float = 1.6         # over-relaxation
     check_every: int = 25      # residual check cadence
-    adapt_every: int = 100     # step rebalancing cadence
-    eq_step_scale: float = 1e3
-    inf_tol: float = 1e-7      # relative certificate tolerance
     polish: bool = True
-    rescue_every: int = 2000   # stalled-iterate finish attempts (0 = off)
 
 
 @dataclass
@@ -188,14 +169,13 @@ class QpSolver:
         with np.errstate(invalid="ignore"):
             eq_mask |= (self.l == self.u) & np.isfinite(self.l)
         self.eq_mask = eq_mask
-        self.rho = np.full(self.m, self.settings.step)
-        self.rho[eq_mask] *= self.settings.eq_step_scale
+        self.rho = np.full(self.m, STEP)
+        self.rho[eq_mask] *= EQ_STEP_SCALE
         self._last = None       # (x, y, z) of previous solve
         self._factor()
 
     def _factor(self):
-        P, sigma = self.problem.quad, self.settings.sigma
-        K = P + sigma * np.eye(self.problem.n)
+        K = self.problem.quad + SIGMA * np.eye(self.problem.n)
         if self.m:
             K = K + (self.M.T * self.rho) @ self.M
         self.chol = scipy.linalg.cho_factor(K, lower=True, check_finite=False)
@@ -209,16 +189,15 @@ class QpSolver:
         Aty = self.M.T @ y if self.m else np.zeros(self.problem.n)
         r_prim = _norm(Ax - z) if self.m else 0.0
         r_dual = _norm(Px + q + Aty)
-        tol = self.settings.tol
-        eps_prim = tol + tol * max(_norm(Ax), _norm(z))
-        eps_dual = tol + tol * max(_norm(Px), _norm(Aty), _norm(q))
+        eps_prim = TOL + TOL * max(_norm(Ax), _norm(z))
+        eps_dual = TOL + TOL * max(_norm(Px), _norm(Aty), _norm(q))
         return r_prim, r_dual, eps_prim, eps_dual
 
     def _primal_certificate(self, dy) -> bool:
         nd = _norm(dy)
         if nd <= 1e-14:
             return False
-        eps = self.settings.inf_tol * nd
+        eps = INF_TOL * nd
         if _norm(self.M.T @ dy) > eps:
             return False
         sup = 0.0
@@ -236,7 +215,7 @@ class QpSolver:
         nd = _norm(dx)
         if nd <= 1e-14:
             return False
-        eps = self.settings.inf_tol * nd
+        eps = INF_TOL * nd
         if _norm(self.problem.quad @ dx) > eps:
             return False
         if float(q @ dx) > -eps:
@@ -285,14 +264,14 @@ class QpSolver:
         for it in range(1, st.max_iter + 1):
             x_prev = x
             y_prev = y
-            rhs = st.sigma * x - q
+            rhs = SIGMA * x - q
             if m:
                 rhs = rhs + self.M.T @ (self.rho * z - y)
             xt = scipy.linalg.cho_solve(self.chol, rhs, check_finite=False)
-            x = st.relax * xt + (1.0 - st.relax) * x
+            x = RELAX * xt + (1.0 - RELAX) * x
             if m:
                 zt = self.M @ xt
-                zr = st.relax * zt + (1.0 - st.relax) * z
+                zr = RELAX * zt + (1.0 - RELAX) * z
                 z_new = np.clip(zr + y / self.rho, self.l, self.u)
                 y = y + self.rho * (zr - z_new)
                 z = z_new
@@ -319,12 +298,12 @@ class QpSolver:
                         break
                 else:
                     dinf_hits = 0
-                if it % st.adapt_every == 0 and m:
+                if it % ADAPT_EVERY == 0 and m:
                     self._rebalance(x, y, z, q, r_prim, r_dual)
                 # degenerate active sets can leave the iteration chattering
                 # with flat residuals; when that happens, try to finish
                 # directly from the current active-set guess
-                if st.polish and st.rescue_every and it % st.rescue_every == 0:
+                if st.polish and it % RESCUE_EVERY == 0:
                     gm = np.sqrt((r_prim + 1e-16) * (r_dual + 1e-16))
                     if gm > rescue_ref / 3.0:
                         cand = self._rescue(x, y, z, q, cn, it)
@@ -348,7 +327,7 @@ class QpSolver:
             # the stalled iterate often carries a usable active-set guess;
             # accept the polished point only at full-KKT tolerance, which
             # certifies optimality regardless of how the iterates behaved
-            self._polish(sol, q, cn, z=z, require=st.tol)
+            self._polish(sol, q, cn, z=z, require=TOL)
         return sol
 
     def _rescue(self, x, y, z, q, cn, iterations):
@@ -358,7 +337,7 @@ class QpSolver:
             x=x.copy(), duals={"eq": y[:meq].copy(), "ineq": y[meq:].copy()},
             status=MAX_ITER, iterations=iterations, residuals={},
             objective=float(0.5 * x @ self.problem.quad @ x + q @ x + cn))
-        self._polish(sol, q, cn, z=z, require=self.settings.tol)
+        self._polish(sol, q, cn, z=z, require=TOL)
         if sol.polished and sol.status == OPTIMAL:
             return sol
         return None

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import Chain, digest, service_tx, trading_tx
-from .coordinator import AlgoConfig, DualState, LocalTransport, PairMap
+from .coordinator import AlgoConfig, DualState, LocalTransport, stack_trades
 from .model import Tariff
 
 
@@ -40,7 +40,8 @@ class NetConfig:
 
     latency is either a fixed tick count or an inclusive (lo, hi) range
     drawn uniformly per message; overrides substitute per-node values.
-    The timeout must exceed the largest possible single-link delay.
+    Delays are non-negative, a range has lo <= hi, and the timeout must
+    exceed the largest possible single-link delay.
     """
 
     latency: object = (1, 5)
@@ -49,6 +50,9 @@ class NetConfig:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not all(0 <= lo <= hi for lo, hi in self._ranges()):
+            raise SimError("latencies must be non-negative tick counts or "
+                           f"ranges lo <= hi, got {self._ranges()}")
         worst = self.max_latency()
         if self.timeout <= worst:
             raise SimError(
@@ -57,9 +61,12 @@ class NetConfig:
     def link(self, node: str):
         return self.overrides.get(node, self.latency)
 
+    def _ranges(self) -> list:
+        return [d if isinstance(d, tuple) else (d, d)
+                for d in [self.latency, *self.overrides.values()]]
+
     def max_latency(self) -> int:
-        links = [self.latency] + list(self.overrides.values())
-        return max(v[1] if isinstance(v, tuple) else v for v in links)
+        return max(hi for _, hi in self._ranges())
 
 
 def _draw(rng, delay) -> int:
@@ -86,7 +93,7 @@ def write_events(events, path):
 
 @dataclass
 class RoundOutcome:
-    trades: PairMap
+    trades: np.ndarray
     block: object
     end_tick: int
 
@@ -120,19 +127,16 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
         seq += 1
     heapq.heappush(heap, (deadline, 1, seq, "timeout", ""))
     seq += 1
-    trades: PairMap = {}
+    rows = {}
     arrived = set()
     last_arrival = start_tick
     while heap:
         tick, _, _, kind, u = heapq.heappop(heap)
         if kind == "deliver":
             dual = chain.contract_call("read_dual", user=u)
-            log.append(EventRecord(tick, "deliver", u,
-                                   digest({v: dual.aux[v] for v in dual.aux})))
+            log.append(EventRecord(tick, "deliver", u, digest(dual.aux)))
             per_peer = agents[u].solve_round(dual)
-            log.append(EventRecord(
-                tick, "solve", u,
-                digest({v: vec for v, vec in sorted(per_peer.items())})))
+            log.append(EventRecord(tick, "solve", u, digest(per_peer)))
             tx = trading_tx(u, chain.next_nonce(u), per_peer)
             arrival = tick + up_lat[u]
             if arrival > deadline:
@@ -144,13 +148,13 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
             chain.submit_tx(tx)
             arrived.add(u)
             last_arrival = max(last_arrival, tick)
-            for v, vec in tx.payload["trades"].items():
-                trades[(u, v)] = np.asarray(vec, float)
+            rows[u] = tx.payload["trades"]
             log.append(EventRecord(tick, "arrive", u, tx.txid))
         elif kind == "timeout":
             missing = sorted(set(agents) - arrived)
             if missing:
                 raise RoundTimeout(missing[0], deadline)
+    trades = stack_trades(state.users, state.horizon, rows)
     block = chain.produce_block(chain.scheduled_proposer())
     log.append(EventRecord(last_arrival, "block", block.proposer,
                            block.digest))
@@ -184,7 +188,7 @@ class ChainTransport(LocalTransport):
         self.events: list[EventRecord] = []
         self.tick = 0
 
-    def exchange(self, state: DualState) -> tuple[PairMap, DualState]:
+    def exchange(self, state: DualState) -> tuple[np.ndarray, DualState]:
         outcome = run_round(state.iteration, self.agents, self.chain,
                             self.net, self.rng, start_tick=self.tick,
                             events=self.events)

@@ -14,7 +14,8 @@ import pytest
 from qp_oracle import brute_force_qp, random_bounded_qp
 
 from vppsim.chain import ContractState, canonical, replay
-from vppsim.coordinator import DualState, dual_update, lambda_update
+from vppsim.coordinator import (DualState, dual_update, lambda_update,
+                                stack_trades)
 from vppsim.experiment import (centralized_day, day_profile, day_tariff,
                                run_compare, run_co, run_sa)
 from vppsim.model import (CO, InvalidInput, Schedule, check_feasibility,
@@ -116,19 +117,18 @@ def test_criterion_4_trades_agree_across_every_pair(survey, big_run):
     rng = np.random.default_rng(0)
     exact = True
     state = DualState.zeros(["u", "v", "w"], 6, 1.0)
+    off = ~np.eye(3, dtype=bool)
     for _ in range(500):
-        state.mult = {k: rng.normal(size=6) for k in state.mult}
-        trades = {k: rng.normal(size=6) for k in state.aux}
+        state.mult[off] = rng.normal(size=(6, 6))
+        trades = np.zeros_like(state.aux)
+        trades[off] = rng.normal(size=(6, 6))
         aux = dual_update(trades, state)
-        for (u, v) in aux:
-            if u < v and not np.all(aux[(u, v)] + aux[(v, u)] == 0.0):
-                exact = False
+        if not np.all(aux + aux.transpose(1, 0, 2) == 0.0):
+            exact = False
     # and on the contract state the big run actually committed
     final = cmp.co.transports[0].chain.state()
-    for (u, v) in final.aux:
-        if u < v and not np.all(final.aux[(u, v)]
-                                + final.aux[(v, u)] == 0.0):
-            exact = False
+    if not np.all(final.aux + final.aux.transpose(1, 0, 2) == 0.0):
+        exact = False
     ok = worst <= 1e-4 and exact
     _emit(4, ok,
           f"worst |p_uv + p_vu| = {worst:.2e} kWh (limit 1e-4); "
@@ -197,21 +197,18 @@ def test_criterion_7_the_ledger_replays_deterministically(tmp_path,
     mirror = DualState.zeros(users, H, rho)
     bitwise = True
     for k in range(1000):
-        trades = {(u, v): rng.normal(size=H)
-                  for u in users for v in users if u != v}
+        rows = {u: {v: rng.normal(size=H) for v in users if v != u}
+                for u in users}
         for u in users:
-            contract.call("set_trading", user=u,
-                          trades={v: trades[(u, v)]
-                                  for v in users if v != u})
+            contract.call("set_trading", user=u, trades=rows[u])
         contract.call("compute_dual")
+        trades = stack_trades(users, H, rows)
         aux = dual_update(trades, mirror)
         mult = lambda_update(mirror, aux, trades)
-        mirror = DualState(aux=aux, mult=mult, rho=rho, iteration=k + 1)
-        for key in mirror.aux:
-            bitwise &= (contract.aux[key].tobytes()
-                        == mirror.aux[key].tobytes())
-            bitwise &= (contract.mult[key].tobytes()
-                        == mirror.mult[key].tobytes())
+        mirror = DualState(users=mirror.users, aux=aux, mult=mult, rho=rho,
+                           iteration=k + 1)
+        bitwise &= contract.aux.tobytes() == mirror.aux.tobytes()
+        bitwise &= contract.mult.tobytes() == mirror.mult.tobytes()
     ok = byte_exact and bitwise and contract.round == 1000
     _emit(7, ok,
           f"replayed {blocks} blocks byte-exactly: {byte_exact}; "

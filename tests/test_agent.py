@@ -20,9 +20,8 @@ def test_layout_sizes_and_slices():
     assert lay.peak == 216
     three = Layout(horizon=24, peers=("a", "b", "c"))
     assert three.n == 217 + 3 * 24
-    # every index is named exactly once
-    assert sorted(three.names()) == list(range(three.n))
-    assert three.names()[three.trade("b").start] == ("p[b]", 0)
+    assert lay.sl("e_as") == slice(192, 216)
+    assert three.trade("b") == slice(217 + 24, 217 + 48)
 
 
 def test_thermal_response_matches_recursion():

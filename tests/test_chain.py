@@ -12,9 +12,11 @@ from vppsim.chain import (Chain, ChainError, ContractError, ContractState,
                           CorruptionError, ProposerError, SettlementError,
                           Transaction, TxRejected, VoteError, _tx_id,
                           canonical, digest, dump_text, load_log, make_tx,
-                          pair_key, replay, service_tx, split_pair,
-                          trading_tx, transfer_tx)
-from vppsim.coordinator import DualState, dual_update, lambda_update
+                          pair_key, replay, service_tx, trading_tx,
+                          transfer_tx)
+from vppsim.cli import main
+from vppsim.coordinator import (DualState, dual_update, lambda_update,
+                                stack_trades)
 from vppsim.model import Schedule
 
 
@@ -54,7 +56,8 @@ def test_digest_is_plain_sha256_of_the_bytes():
 
 def test_pair_key_round_trip():
     assert pair_key("u01", "u07") == "u01|u07"
-    assert split_pair("u01|u07") == ("u01", "u07")
+    state = ContractState(["u07", "u01"], 1, 1.0, {})
+    assert list(state.payload()["aux"]) == ["u01|u07", "u07|u01"]
 
 
 def test_tx_id_tracks_content():
@@ -167,11 +170,11 @@ def test_completed_round_runs_the_dual_update_on_chain():
     state = chain.state()
     assert state.round == 1
     assert state.submitted == set()
-    np.testing.assert_array_equal(state.aux[("u", "v")], [0.2, 0.0])
-    np.testing.assert_array_equal(state.aux[("v", "u")], [-0.2, 0.0])
-    np.testing.assert_allclose(state.mult[("u", "v")], [-0.3, 0.0],
+    np.testing.assert_array_equal(state.aux[0, 1], [0.2, 0.0])
+    np.testing.assert_array_equal(state.aux[1, 0], [-0.2, 0.0])
+    np.testing.assert_allclose(state.mult[0, 1], [-0.3, 0.0],
                                atol=1e-15)
-    np.testing.assert_allclose(state.mult[("v", "u")], [-0.3, 0.0],
+    np.testing.assert_allclose(state.mult[1, 0], [-0.3, 0.0],
                                atol=1e-15)
 
 
@@ -181,20 +184,43 @@ def test_contract_matches_coordinator_bit_for_bit():
     contract = ContractState(users, H, rho, {})
     mirror = DualState.zeros(users, H, rho)
     for k in range(50):
-        trades = {(u, v): rng.normal(size=H)
-                  for u in users for v in users if u != v}
+        rows = {u: {v: rng.normal(size=H) for v in users if v != u}
+                for u in users}
         for u in users:
-            contract.call("set_trading", user=u,
-                          trades={v: trades[(u, v)] for v in users
-                                  if v != u})
+            contract.call("set_trading", user=u, trades=rows[u])
         contract.call("compute_dual")
+        trades = stack_trades(users, H, rows)
         aux = dual_update(trades, mirror)
         mult = lambda_update(mirror, aux, trades)
-        mirror = DualState(aux=aux, mult=mult, rho=rho, iteration=k + 1)
-        for key in mirror.aux:
-            assert contract.aux[key].tobytes() == mirror.aux[key].tobytes()
-            assert contract.mult[key].tobytes() == mirror.mult[key].tobytes()
+        mirror = DualState(users=mirror.users, aux=aux, mult=mult, rho=rho,
+                           iteration=k + 1)
+        assert contract.aux.tobytes() == mirror.aux.tobytes()
+        assert contract.mult.tobytes() == mirror.mult.tobytes()
     assert contract.round == 50
+
+
+def test_fixed_history_has_a_pinned_state_root():
+    # Two scripted trading rounds and one transfer; no QP runs, so the
+    # root depends on nothing but the contract arithmetic and the record
+    # format.  Slot 0 trades exactly +0.0 both ways, which leaves +0.0
+    # above and -0.0 below the diagonal of the auxiliary trades: the root
+    # pins that sign.
+    users = ["a", "b", "c"]
+    chain = Chain(users, ["a0"], 3, rho=1.5)
+    for k in range(2):
+        for i, u in enumerate(users):
+            chain.submit_tx(trading_tx(u, k, {
+                v: [0.3 * (i - j) + 0.1 * k - 0.07 * t if t else 0.0
+                    for t in range(3)]
+                for j, v in enumerate(users) if v != u}))
+        chain.produce_block("a0")
+    chain.submit_tx(transfer_tx("a", 2, "b", 12.5))
+    chain.produce_block("a0")
+    assert chain.state().round == 2
+    assert chain.blocks[-1].state_root == (
+        "6f77d6ef4a1d5549bac0ca14401e710dc7e922272c55b96d36f60cdf327d7743")
+    assert chain.tip() == (
+        "2c82952df48e4226b1cf8461d4d5c69c8e727075c9cf759e7c7545bab045941c")
 
 
 def test_read_is_the_only_direct_contract_call():
@@ -435,6 +461,40 @@ def test_doctored_record_list_fails_at_its_height(tmp_path):
     with pytest.raises(CorruptionError) as err:
         replay(records)
     assert err.value.height == 1
+
+
+def _list_record(records):
+    records[1] = [records[1]]
+
+
+def _block_without_txs(records):
+    del records[1]["txs"]
+
+
+def _genesis_without_state(records):
+    del records[0]["state"]
+
+
+def _tx_without_nonce(records):
+    del records[1]["txs"][0]["nonce"]
+
+
+@pytest.mark.parametrize("doctor, height", [
+    (_list_record, 0), (_block_without_txs, 0),
+    (_genesis_without_state, None), (_tx_without_nonce, 0)])
+def test_malformed_record_is_corruption_at_its_height(tmp_path, capsys,
+                                                     doctor, height):
+    chain = small_chain()
+    run_small_session(chain)
+    doctor(chain.records)
+    for read in (replay, dump_text):
+        with pytest.raises(CorruptionError) as err:
+            read(chain.records)
+        assert err.value.height == height
+    path = tmp_path / "chain.log"
+    chain.save_log(path)
+    assert main(["chain-dump", str(path)]) == 1
+    assert "chain log corrupt" in capsys.readouterr().err
 
 
 def test_text_dump_covers_every_record(tmp_path):

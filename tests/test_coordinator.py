@@ -9,26 +9,38 @@ from hypothesis import strategies as st
 from vppsim.agent import AgentSolveError
 from vppsim.coordinator import (AlgoConfig, DualState, LocalTransport,
                                 ProtocolError, convergence, dual_update,
-                                lambda_update, run_decentralized)
+                                lambda_update, run_decentralized,
+                                stack_trades)
 from vppsim.model import InvalidInput
 from vppsim.qp import QpSettings
 
-PAIR = ("u", "v")
-RAIP = ("v", "u")
+# rows and columns of the (2, 2, H) pair arrays over users ("u", "v")
+PAIR = (0, 1)
+RAIP = (1, 0)
 
 
 def pair_state(rho=1.0, mult_uv=0.0, mult_vu=0.0, H=1):
     s = DualState.zeros(["u", "v"], H, rho)
-    s.mult[PAIR] = np.full(H, float(mult_uv))
-    s.mult[RAIP] = np.full(H, float(mult_vu))
+    s.mult[PAIR] = mult_uv
+    s.mult[RAIP] = mult_vu
     return s
+
+
+def pair_array(uv, vu):
+    """A (2, 2, H) pair array holding uv at (u, v) and vu at (v, u)."""
+    uv = np.atleast_1d(np.asarray(uv, float))
+    out = np.zeros((2, 2, uv.size))
+    out[PAIR] = uv
+    out[RAIP] = vu
+    return out
 
 
 def test_zeros_layout_and_validation():
     s = DualState.zeros(["b", "a"], 3, 2.0)
     assert s.iteration == 0
-    assert set(s.aux) == {("a", "b"), ("b", "a")}
-    assert all(np.all(v == 0.0) for v in s.aux.values())
+    assert s.users == ("a", "b")
+    assert s.aux.shape == s.mult.shape == (2, 2, 3)
+    assert np.all(s.aux == 0.0)
     with pytest.raises(InvalidInput):
         DualState.zeros(["a", "a"], 3, 1.0)
     with pytest.raises(InvalidInput):
@@ -37,7 +49,7 @@ def test_zeros_layout_and_validation():
 
 def test_zero_trades_keep_zero_state():
     s = pair_state()
-    trades = {PAIR: np.zeros(1), RAIP: np.zeros(1)}
+    trades = pair_array(0.0, 0.0)
     aux = dual_update(trades, s)
     assert np.all(aux[PAIR] == 0.0) and np.all(aux[RAIP] == 0.0)
     mult = lambda_update(s, aux, trades)
@@ -48,7 +60,7 @@ def test_consistent_trades_are_a_fixed_point():
     # rho = 2 keeps the divisor a power of two, so the fixed point
     # reproduces bitwise rather than merely to rounding error
     s = pair_state(rho=2.0)
-    trades = {PAIR: np.array([0.8]), RAIP: np.array([-0.8])}
+    trades = pair_array(0.8, -0.8)
     aux = dual_update(trades, s)
     np.testing.assert_array_equal(aux[PAIR], trades[PAIR])
     np.testing.assert_array_equal(aux[RAIP], trades[RAIP])
@@ -60,7 +72,7 @@ def test_auxiliary_update_hand_numbers():
     # rho=2, p_uv=0.5, p_vu=0.1, lam_uv=0.2, lam_vu=-0.4:
     # (2*(0.5-0.1) - (0.2+0.4)) / 4 = 0.05
     s = pair_state(rho=2.0, mult_uv=0.2, mult_vu=-0.4)
-    trades = {PAIR: np.array([0.5]), RAIP: np.array([0.1])}
+    trades = pair_array(0.5, 0.1)
     aux = dual_update(trades, s)
     assert aux[PAIR][0] == pytest.approx(0.05, abs=1e-12)
     assert aux[RAIP][0] == pytest.approx(-0.05, abs=1e-12)
@@ -69,18 +81,17 @@ def test_auxiliary_update_hand_numbers():
 def test_multiplier_update_hand_numbers():
     # lam = 0 + 1 * (0.05 - 0.5) = -0.45
     s = pair_state(rho=1.0)
-    trades = {PAIR: np.array([0.5]), RAIP: np.array([-0.5])}
-    aux = {PAIR: np.array([0.05]), RAIP: np.array([-0.05])}
+    trades = pair_array(0.5, -0.5)
+    aux = pair_array(0.05, -0.05)
     mult = lambda_update(s, aux, trades)
     assert mult[PAIR][0] == pytest.approx(-0.45, abs=1e-12)
 
 
 def test_gap_counts_every_ordered_pair():
     s = pair_state()
-    s.aux = {PAIR: np.array([0.001]), RAIP: np.array([-0.001])}
-    trades = {PAIR: np.zeros(1), RAIP: np.zeros(1)}
-    rep = convergence(s, {k: v.copy() for k, v in s.mult.items()},
-                      trades, 1e-6, 1e-6)
+    s.aux = pair_array(0.001, -0.001)
+    trades = pair_array(0.0, 0.0)
+    rep = convergence(s, s.mult.copy(), trades, 1e-6, 1e-6)
     assert rep.primal_gap == pytest.approx(0.002, abs=1e-15)
     assert rep.dual_gap == 0.0
     assert not rep.converged
@@ -88,17 +99,17 @@ def test_gap_counts_every_ordered_pair():
 
 def test_exact_agreement_converges():
     s = pair_state()
-    trades = {PAIR: np.zeros(1), RAIP: np.zeros(1)}
-    rep = convergence(s, {k: v.copy() for k, v in s.mult.items()},
-                      trades, 1e-6, 1e-6)
+    trades = pair_array(0.0, 0.0)
+    rep = convergence(s, s.mult.copy(), trades, 1e-6, 1e-6)
     assert rep.primal_gap == 0.0 and rep.dual_gap == 0.0
     assert rep.converged
 
 
 def test_missing_pair_is_a_protocol_error():
-    s = pair_state()
     with pytest.raises(ProtocolError):
-        dual_update({PAIR: np.zeros(1)}, s)
+        stack_trades(("u", "v"), 1, {"u": {"v": np.zeros(1)}})
+    with pytest.raises(ProtocolError):
+        dual_update(np.zeros((2, 2, 2)), pair_state())
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,7 +119,7 @@ def test_missing_pair_is_a_protocol_error():
 def test_auxiliary_antisymmetry_is_exact(a, b, rho):
     H = min(len(a), len(b))
     s = pair_state(rho=rho, H=H)
-    trades = {PAIR: np.array(a[:H]), RAIP: np.array(b[:H])}
+    trades = pair_array(a[:H], b[:H])
     aux = dual_update(trades, s)
     assert np.all(aux[PAIR] + aux[RAIP] == 0.0)
 
@@ -119,7 +130,7 @@ def test_stationary_multipliers_force_consistency(x, y):
     # The multiplier step is zero only where aux == trades, and the
     # antisymmetric aux can equal the trades only if they net out.
     s = pair_state()
-    trades = {PAIR: np.array([x]), RAIP: np.array([y])}
+    trades = pair_array(x, y)
     aux = dual_update(trades, s)
     mult = lambda_update(s, aux, trades)
     stationary = (np.all(mult[PAIR] == s.mult[PAIR])
@@ -129,13 +140,13 @@ def test_stationary_multipliers_force_consistency(x, y):
 
 def test_slice_shows_one_households_rows_only():
     s = DualState.zeros(["a", "b", "c"], 2, 1.0)
-    s.mult[("a", "b")][:] = [1.0, 2.0]
-    s.mult[("b", "a")][:] = [9.0, 9.0]
+    s.mult[0, 1] = [1.0, 2.0]
+    s.mult[1, 0] = [9.0, 9.0]
     sl = s.slice_for("a")
     assert set(sl.aux) == {"b", "c"}
     np.testing.assert_array_equal(sl.mult["b"], [1.0, 2.0])
     sl.mult["b"][0] = -5.0
-    assert s.mult[("a", "b")][0] == 1.0
+    assert s.mult[0, 1, 0] == 1.0
 
 
 def test_households_with_nothing_to_gain_stop_at_once():

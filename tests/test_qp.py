@@ -61,12 +61,6 @@ def test_perturbed_point_shows_in_residuals():
     assert max(res["primal"], res["dual"]) >= 0.05
 
 
-def test_psd_check_rejects_indefinite_matrix():
-    with pytest.raises(Exception):
-        QpProblem(n=2, quad=np.array([[1.0, 0.0], [0.0, -1.0]]),
-                  lin=np.zeros(2)).validate()
-
-
 def test_iteration_budget_returns_best_iterate():
     rng = np.random.default_rng(1)
     prob = random_bounded_qp(rng)

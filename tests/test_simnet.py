@@ -33,6 +33,12 @@ def test_config_rejects_timeouts_inside_the_latency_band():
         NetConfig(latency=(1, 5), timeout=5)
     with pytest.raises(SimError):
         NetConfig(latency=2, timeout=10, overrides={"u": (1, 12)})
+    # inverted ranges and negative delays are refused up front
+    for bad in [(5, 1), (-3, 2), -2]:
+        with pytest.raises(SimError):
+            NetConfig(latency=bad, timeout=10)
+    with pytest.raises(SimError):
+        NetConfig(latency=1, timeout=10, overrides={"u": (4, 3)})
     cfg = NetConfig(latency=(1, 5), timeout=6, overrides={"u": 2})
     assert cfg.max_latency() == 5
     assert cfg.link("u") == 2 and cfg.link("w") == (1, 5)
@@ -48,7 +54,9 @@ def test_one_round_collects_every_trade_then_seals():
                     np.random.default_rng(0), events=events)
     assert chain.state().round == 1
     assert len(out.block.txs) == 3
-    assert len(out.trades) == 6  # every ordered pair
+    # every ordered pair, as the contract stored it
+    assert out.trades.shape == (3, 3, 2)
+    assert out.trades.tobytes() == chain.state().trades.tobytes()
     kinds = [ev.kind for ev in events]
     assert kinds.count("deliver") == 3
     assert kinds.count("solve") == 3
