@@ -1,9 +1,13 @@
 """Per-household problem builders.
 
 Maps a UserProfile onto QpProblem data: the stand-alone problem, the
-cooperative trading subproblem (with splitting penalty and multiplier
-terms on the trade variables), and the centralized problem over all
-households used as the verification oracle.
+cooperative trading subproblem, and the centralized problem over all
+households used as the verification oracle.  Each builder writes its
+constraints into one `_Rows` list, in emission order, as the QP's single
+system lo <= A x <= hi.  The cooperative build is dual-free: it carries
+the splitting penalty's fixed quadratic part, and the coordination state
+(auxiliary trades and multipliers) enters the objective only through
+`admm_terms`, once per trading round.
 
 Variable layout per household, in order: g, r, l_ac, l_fl, c, d, e_fit,
 e_dr, e_as (each one slot-vector), the scalar peak epigraph variable,
@@ -50,11 +54,6 @@ class DualSlice:
         self.mult = {v: np.asarray(a, dtype=float) for v, a in self.mult.items()}
         if set(self.aux) != set(self.mult):
             raise InvalidInput("aux and mult must cover the same peers")
-
-    @classmethod
-    def zeros(cls, peers, horizon: int, rho: float) -> "DualSlice":
-        return cls(aux={v: np.zeros(horizon) for v in peers},
-                   mult={v: np.zeros(horizon) for v in peers}, rho=rho)
 
 
 @dataclass
@@ -134,8 +133,6 @@ class _Rows:
         self.hi.append(hi)
 
     def build(self):
-        if not self.rows:
-            return None
         return (np.vstack(self.rows), np.array(self.lo, dtype=float),
                 np.array(self.hi, dtype=float))
 
@@ -154,8 +151,7 @@ def _check_buildable(p: UserProfile, T0):
 
 
 def _user_block(p: UserProfile, tariff: Tariff, lay: Layout,
-                quad, lin, eqr: _Rows, inr: _Rows,
-                trade_cap: float | None):
+                quad, lin, rows: _Rows, trade_cap: float | None):
     """Write one household's objective and constraints into the big arrays.
 
     Returns the objective constant contributed by this household.
@@ -204,60 +200,53 @@ def _user_block(p: UserProfile, tariff: Tariff, lay: Layout,
         for v in lay.peers:
             cols.append(lay.trade(v).start + t)
             vals.append(-1.0)
-        eqr.add(cols, vals, -p.exo.inflexible[t], -p.exo.inflexible[t])
+        rows.add(cols, vals, -p.exo.inflexible[t], -p.exo.inflexible[t])
     # flexible demand must be met over the horizon
-    eqr.add(idx["l_fl"], np.ones(H), p.flex.total, p.flex.total)
+    rows.add(idx["l_fl"], np.ones(H), p.flex.total, p.flex.total)
 
-    # simple bounds
-    for t in range(H):
-        inr.add([idx["r"][t]], [1.0], 0.0, p.exo.renewable_cap[t])
-    for t in range(H):
-        inr.add([idx["g"][t]], [1.0], 0.0, p.fuse_limit)
-    for t in range(H):
-        inr.add([idx["l_ac"][t]], [1.0], 0.0, np.inf)
-    for t in range(H):
-        inr.add([idx["l_fl"][t]], [1.0], p.flex.lo[t], p.flex.hi[t])
-    for t in range(H):
-        inr.add([idx["c"][t]], [1.0], 0.0, p.battery.max_charge)
-    for t in range(H):
-        inr.add([idx["d"][t]], [1.0], 0.0, p.battery.max_discharge)
-    for t in range(H):
-        inr.add([idx["e_fit"][t]], [1.0], 0.0, np.inf)
-    for t in range(H):
-        inr.add([idx["e_dr"][t]], [1.0], 0.0, np.inf)
-    for t in range(H):
-        inr.add([idx["e_as"][t]], [1.0], 0.0, np.inf)
+    # simple bounds, one variable per row
+    zero, inf = np.zeros(H), np.full(H, np.inf)
+    bounds = (("r", zero, p.exo.renewable_cap),
+              ("g", zero, np.full(H, p.fuse_limit)),
+              ("l_ac", zero, inf),
+              ("l_fl", p.flex.lo, p.flex.hi),
+              ("c", zero, np.full(H, p.battery.max_charge)),
+              ("d", zero, np.full(H, p.battery.max_discharge)),
+              ("e_fit", zero, inf), ("e_dr", zero, inf), ("e_as", zero, inf))
+    for name, lo, hi in bounds:
+        for t in range(H):
+            rows.add([idx[name][t]], [1.0], lo[t], hi[t])
     # temperature window on the affine response
     for t in range(H):
         cols = idx["l_ac"]
-        inr.add(cols, MT[t], p.ac.t_min - T0[t], p.ac.t_max - T0[t])
+        rows.add(cols, MT[t], p.ac.t_min - T0[t], p.ac.t_max - T0[t])
     # battery level window on the cumulative response
     for t in range(H):
         cols = np.concatenate([idx["c"], idx["d"]])
         vals = np.concatenate([Lc[t], -Ld[t]])
-        inr.add(cols, vals, -p.battery.b_init,
+        rows.add(cols, vals, -p.battery.b_init,
                 p.battery.capacity - p.battery.b_init)
     # feed-in bounded by unused renewable: e_fit + r <= cap
     for t in range(H):
-        inr.add([idx["e_fit"][t], idx["r"][t]], [1.0, 1.0],
+        rows.add([idx["e_fit"][t], idx["r"][t]], [1.0, 1.0],
                 -np.inf, p.exo.renewable_cap[t])
     # demand response bounded by grid import: e_dr - g <= 0
     for t in range(H):
-        inr.add([idx["e_dr"][t], idx["g"][t]], [1.0, -1.0], -np.inf, 0.0)
+        rows.add([idx["e_dr"][t], idx["g"][t]], [1.0, -1.0], -np.inf, 0.0)
     # ancillary bounded by state of charge: e_as - b <= b_init
     for t in range(H):
         cols = np.concatenate([[idx["e_as"][t]], idx["c"], idx["d"]])
         vals = np.concatenate([[1.0], -Lc[t], Ld[t]])
-        inr.add(cols, vals, -np.inf, p.battery.b_init)
+        rows.add(cols, vals, -np.inf, p.battery.b_init)
     # peak epigraph: g - peak <= 0
     for t in range(H):
-        inr.add([idx["g"][t], lay.peak], [1.0, -1.0], -np.inf, 0.0)
+        rows.add([idx["g"][t], lay.peak], [1.0, -1.0], -np.inf, 0.0)
     # trade box
     if lay.peers and trade_cap is not None:
         for v in lay.peers:
             tr = lay.trade(v)
             for t in range(H):
-                inr.add([tr.start + t], [1.0], -trade_cap, trade_cap)
+                rows.add([tr.start + t], [1.0], -trade_cap, trade_cap)
     return const
 
 
@@ -272,18 +261,19 @@ def build_sa_problem(p: UserProfile, tariff: Tariff):
     n = lay.n
     quad = np.zeros((n, n))
     lin = np.zeros(n)
-    eqr, inr = _Rows(n), _Rows(n)
-    const = _user_block(p, tariff, lay, quad, lin, eqr, inr, None)
-    prob = QpProblem(n=n, quad=quad, lin=lin, eq=eqr.build(),
-                     ineq=inr.build(), const=const)
+    rows = _Rows(n)
+    const = _user_block(p, tariff, lay, quad, lin, rows, None)
+    prob = QpProblem(n=n, quad=quad, lin=lin, rows=rows.build(), const=const)
     return prob, lay
 
 
 def admm_terms(dual: DualSlice, lay: Layout):
     """Linear and constant objective contributions of the coordination state.
 
-    The quadratic part (rho on each trade variable) lives in the base
-    problem; this returns what changes between iterations.
+    The only place the dual slice enters a household's objective: per
+    peer v, -(rho * aux_v + mult_v)' p_v + rho/2 * |aux_v|^2.  With the
+    base problem's rho/2 * |p_v|^2 this is the splitting penalty
+    rho/2 * |aux_v - p_v|^2 plus the multiplier term -mult_v' p_v.
     """
     lin = np.zeros(lay.n)
     const = 0.0
@@ -295,13 +285,13 @@ def admm_terms(dual: DualSlice, lay: Layout):
     return lin, const
 
 
-def build_co_primal(p: UserProfile, tariff: Tariff, peers,
-                    dual: DualSlice, trade_cap: float | None = None):
-    """Cooperative trading subproblem for one household.
+def build_co_primal(p: UserProfile, tariff: Tariff, peers, rho: float,
+                    trade_cap: float | None = None):
+    """Cooperative trading subproblem for one household, dual-free.
 
-    Adds, per peer v and slot t, the trade payment pi_p2p * p_v[t], the
-    multiplier term -mult_v[t] * p_v[t], and the splitting penalty
-    rho/2 * (aux_v[t] - p_v[t])^2.
+    Adds, per peer v and slot t, the trade payment pi_p2p * p_v[t] and the
+    fixed quadratic part rho/2 * p_v[t]^2 of the splitting penalty; the
+    terms that move with the coordination state come from `admm_terms`.
 
     Returns
     -------
@@ -312,25 +302,20 @@ def build_co_primal(p: UserProfile, tariff: Tariff, peers,
         raise BuildError(f"user {p.user_id}: cooperative build needs peers")
     if p.user_id in peers:
         raise BuildError(f"user {p.user_id}: cannot trade with itself")
-    missing = [v for v in peers if v not in dual.aux]
-    if missing:
-        raise BuildError(f"user {p.user_id}: dual slice missing {missing}")
+    if rho <= 0:
+        raise InvalidInput(f"rho must be positive, got {rho}")
     lay = Layout(horizon=p.horizon, peers=peers)
     n = lay.n
     quad = np.zeros((n, n))
     lin = np.zeros(n)
-    eqr, inr = _Rows(n), _Rows(n)
-    const = _user_block(p, tariff, lay, quad, lin, eqr, inr, trade_cap)
+    rows = _Rows(n)
+    const = _user_block(p, tariff, lay, quad, lin, rows, trade_cap)
     for v in peers:
         sl = lay.trade(v)
         quad[np.arange(sl.start, sl.stop),
-             np.arange(sl.start, sl.stop)] += dual.rho
+             np.arange(sl.start, sl.stop)] += rho
         lin[sl] += tariff.pi_p2p
-    dlin, dconst = admm_terms(dual, lay)
-    lin += dlin
-    const += dconst
-    prob = QpProblem(n=n, quad=quad, lin=lin, eq=eqr.build(),
-                     ineq=inr.build(), const=const)
+    prob = QpProblem(n=n, quad=quad, lin=lin, rows=rows.build(), const=const)
     return prob, lay
 
 
@@ -373,11 +358,11 @@ def build_centralized(profiles, tariff: Tariff,
     n = offset
     quad = np.zeros((n, n))
     lin = np.zeros(n)
-    eqr, inr = _Rows(n), _Rows(n)
+    rows = _Rows(n)
     const = 0.0
     for p in profiles:
         lay = layouts[p.user_id]
-        const += _user_block(p, tariff, lay, quad, lin, eqr, inr, trade_cap)
+        const += _user_block(p, tariff, lay, quad, lin, rows, trade_cap)
         for v in lay.peers:
             sl = lay.trade(v)
             lin[sl] += tariff.pi_p2p
@@ -387,9 +372,8 @@ def build_centralized(profiles, tariff: Tariff,
             su = layouts[u].trade(v)
             sv = layouts[v].trade(u)
             for t in range(H):
-                eqr.add([su.start + t, sv.start + t], [1.0, 1.0], 0.0, 0.0)
-    prob = QpProblem(n=n, quad=quad, lin=lin, eq=eqr.build(),
-                     ineq=inr.build(), const=const)
+                rows.add([su.start + t, sv.start + t], [1.0, 1.0], 0.0, 0.0)
+    prob = QpProblem(n=n, quad=quad, lin=lin, rows=rows.build(), const=const)
     return prob, layouts
 
 
@@ -448,19 +432,16 @@ class AgentRuntime:
     """
 
     def __init__(self, profile: UserProfile, tariff: Tariff, peers, rho,
-                 trade_cap, settings=None):
+                 trade_cap):
         self.profile = profile
         self.tariff = tariff
         self.user = profile.user_id
-        zero = DualSlice.zeros(sorted(peers), profile.horizon, rho)
         self.problem, self.layout = build_co_primal(
-            profile, tariff, peers, zero, trade_cap)
+            profile, tariff, peers, rho, trade_cap)
         # Polishing every inner solve roughly doubles the wall time of a
         # trading run and moves the iterate path by less than the stopping
-        # threshold, so the loop default leaves it off.
-        if settings is None:
-            settings = QpSettings(polish=False)
-        self.solver = QpSolver(self.problem, settings)
+        # threshold, so the loop leaves it off.
+        self.solver = QpSolver(self.problem, QpSettings(polish=False))
         self.schedule: Schedule | None = None
         self.cost: float | None = None
         self.solves = 0

@@ -12,6 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .agent import BuildError
 from .chain import ChainError, dump_text
 from .experiment import (ExperimentError, run_co, run_compare, run_sa,
                          run_verify_oracle)
@@ -193,7 +194,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ScenarioError, ExperimentError, ChainError, SimError,
-            InvalidInput) as exc:
+            InvalidInput, BuildError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

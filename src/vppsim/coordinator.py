@@ -182,15 +182,14 @@ class RunResult:
 class LocalTransport:
     """In-process message channel: slices go out, trade vectors come back."""
 
-    def __init__(self, profiles, tariff: Tariff, cfg: AlgoConfig,
-                 qp_settings=None):
+    def __init__(self, profiles, tariff: Tariff, cfg: AlgoConfig):
         profiles = sorted(profiles, key=lambda p: p.user_id)
         ids = [p.user_id for p in profiles]
         cap = resolve_trade_cap(cfg.trade_cap, profiles)
         self.agents = {
             p.user_id: AgentRuntime(
                 p, tariff, [v for v in ids if v != p.user_id],
-                cfg.rho, cap, settings=qp_settings)
+                cfg.rho, cap)
             for p in profiles}
 
     def exchange(self, state: DualState) -> tuple[np.ndarray, DualState]:

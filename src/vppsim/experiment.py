@@ -125,8 +125,7 @@ def run_sa(scenario: Scenario) -> SaRun:
     return SaRun(schedules=schedules, costs=costs, feasible=feasible)
 
 
-def run_co(scenario: Scenario, qp_settings=None,
-           settle: bool = True) -> CoRun:
+def run_co(scenario: Scenario, settle: bool = True) -> CoRun:
     """The trading loop over the simulated network and chain, per day.
 
     Settlement runs once per converged day.  A day that fails to
@@ -150,8 +149,7 @@ def run_co(scenario: Scenario, qp_settings=None,
         profiles = [day_profile(u, day, slots, carry[u.user_id])
                     for u in users]
         net = replace(scenario.net, seed=scenario.net.seed + day)
-        transport = ChainTransport(profiles, tariff, scenario.algo,
-                                   net=net, qp_settings=qp_settings)
+        transport = ChainTransport(profiles, tariff, scenario.algo, net=net)
         res = run_decentralized(profiles, tariff=tariff, cfg=scenario.algo,
                                 transport=transport)
         transports.append(transport)
@@ -175,9 +173,9 @@ def run_co(scenario: Scenario, qp_settings=None,
                  settlements=settlements)
 
 
-def run_compare(scenario: Scenario, qp_settings=None) -> CompareRun:
+def run_compare(scenario: Scenario) -> CompareRun:
     sa = run_sa(scenario)
-    co = run_co(scenario, qp_settings=qp_settings)
+    co = run_co(scenario)
     reduction = {}
     for uid in sa.costs:
         base = sa.costs[uid]
@@ -212,14 +210,14 @@ def centralized_day(scenario: Scenario, day: int,
     return float(sol.objective), decode_all(sol, layouts)
 
 
-def run_verify_oracle(scenario: Scenario, qp_settings=None) -> OracleRun:
+def run_verify_oracle(scenario: Scenario) -> OracleRun:
     """Cooperative run cross-checked against the centralized solve.
 
     Each day's oracle problem starts from the cooperative run's battery
     level for that day, so both sides solve the identical day problem
     and the per-day relative gap isolates the trading loop's accuracy.
     """
-    co = run_co(scenario, qp_settings=qp_settings, settle=False)
+    co = run_co(scenario, settle=False)
     if not co.converged:
         return OracleRun(co=co, co_total=float("nan"),
                          oracle_total=float("nan"),

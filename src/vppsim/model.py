@@ -263,12 +263,6 @@ class Schedule:
     def horizon(self) -> int:
         return self.g.size
 
-    def vectors(self):
-        """The nine per-slot vectors in canonical order."""
-        return {"g": self.g, "r": self.r, "l_ac": self.l_ac, "l_fl": self.l_fl,
-                "c": self.c, "d": self.d, "e_fit": self.e_fit,
-                "e_dr": self.e_dr, "e_as": self.e_as}
-
     def net_trade(self) -> np.ndarray:
         out = np.zeros(self.horizon)
         for p in self.trades.values():
@@ -309,9 +303,6 @@ class ViolationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def worst(self) -> float:
-        return max((v.amount for v in self.violations), default=0.0)
 
     def __str__(self):
         if self.ok:

@@ -1,21 +1,21 @@
 """Dense convex QP solver based on operator splitting.
 
-Problems are stated as
+Every problem is stated in one form,
 
     minimize    0.5 x' Q x + q' x + const
-    subject to  A x = b,   lo <= C x <= hi
+    subject to  lo <= A x <= hi,
 
-and solved with an ADMM splitting (alternating projections with
-over-relaxation).  Equality rows and two-sided inequality rows are handled
-uniformly by stacking them into one system l <= M x <= u with l = u on the
-equality rows.  The splitting needs a single Cholesky factorization of
-Q + sigma I + M' diag(rho) M, which `QpSolver` caches so that repeated
-solves with a new linear term (the situation in the trading loop) are
-cheap.  Step sizes are rebalanced every ADAPT_EVERY iterations from the
-primal/dual residual imbalance.  Infeasibility and unboundedness are
-declared through the standard divergence certificates of the splitting
-iteration.  A final polish step solves the KKT system of the detected
-active set to push residuals to machine precision.
+where entries of lo/hi may be -inf/+inf and a row with finite lo == hi
+is an equality (the form of Stellato et al., OSQP, Math. Prog. Comp.
+2020, section 2).  It is solved with an ADMM splitting (alternating
+projections with over-relaxation) that needs a single Cholesky
+factorization of Q + sigma I + A' diag(rho) A, which `QpSolver` caches
+so that repeated solves with a new linear term (the situation in the
+trading loop) are cheap.  Step sizes are rebalanced every ADAPT_EVERY
+iterations from the primal/dual residual imbalance.  Infeasibility and
+unboundedness are declared through the standard divergence certificates
+of the splitting iteration.  A final polish step solves the KKT system
+of the detected active set to push residuals to machine precision.
 
 Everything is deterministic at a fixed BLAS thread count: identical
 inputs and settings produce identical iterates, iteration counts, and
@@ -27,7 +27,7 @@ pinned (OPENBLAS_NUM_THREADS=1, say).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -53,6 +53,8 @@ ADAPT_EVERY = 100       # step rebalancing cadence
 EQ_STEP_SCALE = 1e3     # step multiplier on equality rows
 INF_TOL = 1e-7          # relative certificate tolerance
 RESCUE_EVERY = 2000     # stalled-iterate finish attempts
+ITER_LIMIT = 200000     # iteration budget per solve
+CHECK_EVERY = 25        # residual check cadence
 
 
 # ---------------------------------------------------------------------------
@@ -61,19 +63,20 @@ RESCUE_EVERY = 2000     # stalled-iterate finish attempts
 
 @dataclass
 class QpProblem:
-    """Convex QP data.
+    """Convex QP data: minimize 0.5 x' quad x + lin' x + const subject to
+    lo <= A x <= hi.
 
-    quad must be symmetric positive semidefinite.  `eq` is (A, b) or None,
-    `ineq` is (C, lo, hi) or None with entries of lo/hi allowed to be
-    -inf/+inf.  `const` is an additive objective constant so built
-    problems can report model costs exactly.
+    quad must be symmetric positive semidefinite.  `rows` is (A, lo, hi),
+    or None for an unconstrained problem; entries of lo/hi may be
+    -inf/+inf, and a row with finite lo == hi is an equality.  `const` is
+    an additive objective constant so built problems can report model
+    costs exactly.
     """
 
     n: int
     quad: np.ndarray
     lin: np.ndarray
-    eq: tuple | None = None
-    ineq: tuple | None = None
+    rows: tuple | None = None
     const: float = 0.0
 
     def __post_init__(self):
@@ -84,56 +87,28 @@ class QpProblem:
                 f"quad shape {self.quad.shape} != ({self.n}, {self.n})")
         if self.lin.size != self.n:
             raise DimensionError(f"lin length {self.lin.size} != {self.n}")
-        if self.eq is not None:
-            A = np.asarray(self.eq[0], dtype=float).reshape(-1, self.n)
-            b = np.asarray(self.eq[1], dtype=float).ravel()
-            if A.shape[0] != b.size:
-                raise DimensionError(
-                    f"eq rows {A.shape[0]} != rhs length {b.size}")
-            self.eq = (A, b)
-        if self.ineq is not None:
-            C = np.asarray(self.ineq[0], dtype=float).reshape(-1, self.n)
-            lo = np.asarray(self.ineq[1], dtype=float).ravel()
-            hi = np.asarray(self.ineq[2], dtype=float).ravel()
-            if not (C.shape[0] == lo.size == hi.size):
-                raise DimensionError("ineq rows and bound lengths disagree")
-            if np.any(lo > hi):
-                raise QpError("ineq lower bound exceeds upper bound")
-            self.ineq = (C, lo, hi)
-
-    @property
-    def m_eq(self) -> int:
-        return 0 if self.eq is None else self.eq[0].shape[0]
-
-    def stacked(self):
-        """All constraint rows as one system l <= M x <= u."""
-        blocks, lo, hi = [], [], []
-        if self.eq is not None:
-            blocks.append(self.eq[0])
-            lo.append(self.eq[1])
-            hi.append(self.eq[1])
-        if self.ineq is not None:
-            blocks.append(self.ineq[0])
-            lo.append(self.ineq[1])
-            hi.append(self.ineq[2])
-        if not blocks:
-            return (np.zeros((0, self.n)), np.zeros(0), np.zeros(0))
-        return (np.vstack(blocks), np.concatenate(lo), np.concatenate(hi))
+        A, lo, hi = self.rows or (np.zeros((0, self.n)), (), ())
+        A = np.asarray(A, dtype=float).reshape(-1, self.n)
+        lo = np.asarray(lo, dtype=float).ravel()
+        hi = np.asarray(hi, dtype=float).ravel()
+        if not (A.shape[0] == lo.size == hi.size):
+            raise DimensionError("constraint rows and bound lengths disagree")
+        if np.any(lo > hi):
+            raise QpError("constraint lower bound exceeds upper bound")
+        self.rows = (A, lo, hi)
 
 
 @dataclass
 class QpSettings:
     """Per-solver knobs."""
 
-    max_iter: int = 200000
-    check_every: int = 25      # residual check cadence
     polish: bool = True
 
 
 @dataclass
 class QpSolution:
     x: np.ndarray
-    duals: dict          # {'eq': ndarray, 'ineq': ndarray}
+    y: np.ndarray        # one multiplier per constraint row
     status: str
     iterations: int
     residuals: dict      # {'primal': float, 'dual': float}
@@ -161,33 +136,27 @@ class QpSolver:
     def __init__(self, problem: QpProblem, settings: QpSettings | None = None):
         self.problem = problem
         self.settings = settings or QpSettings()
-        self.M, self.l, self.u = problem.stacked()
+        self.M, self.l, self.u = problem.rows
         self.m = self.M.shape[0]
-        eq_mask = np.zeros(self.m, dtype=bool)
-        eq_mask[:problem.m_eq] = True
-        # treat finite lo == hi inequality rows as equalities for stepping
-        with np.errstate(invalid="ignore"):
-            eq_mask |= (self.l == self.u) & np.isfinite(self.l)
-        self.eq_mask = eq_mask
+        self.eq_mask = np.isfinite(self.l) & (self.l == self.u)
         self.rho = np.full(self.m, STEP)
-        self.rho[eq_mask] *= EQ_STEP_SCALE
+        self.rho[self.eq_mask] *= EQ_STEP_SCALE
         self._last = None       # (x, y, z) of previous solve
         self._factor()
 
     def _factor(self):
         K = self.problem.quad + SIGMA * np.eye(self.problem.n)
-        if self.m:
-            K = K + (self.M.T * self.rho) @ self.M
+        K = K + (self.M.T * self.rho) @ self.M
         self.chol = scipy.linalg.cho_factor(K, lower=True, check_finite=False)
 
     # -- residuals ---------------------------------------------------------
 
     def _residuals(self, x, y, z, q):
         P = self.problem.quad
-        Ax = self.M @ x if self.m else np.zeros(0)
+        Ax = self.M @ x
         Px = P @ x
-        Aty = self.M.T @ y if self.m else np.zeros(self.problem.n)
-        r_prim = _norm(Ax - z) if self.m else 0.0
+        Aty = self.M.T @ y
+        r_prim = _norm(Ax - z)
         r_dual = _norm(Px + q + Aty)
         eps_prim = TOL + TOL * max(_norm(Ax), _norm(z))
         eps_dual = TOL + TOL * max(_norm(Px), _norm(Aty), _norm(q))
@@ -220,13 +189,10 @@ class QpSolver:
             return False
         if float(q @ dx) > -eps:
             return False
-        if self.m:
-            Adx = self.M @ dx
-            hi_ok = np.all(Adx[np.isfinite(self.u)] <= eps)
-            lo_ok = np.all(Adx[np.isfinite(self.l)] >= -eps)
-            if not (hi_ok and lo_ok):
-                return False
-        return True
+        Adx = self.M @ dx
+        hi_ok = np.all(Adx[np.isfinite(self.u)] <= eps)
+        lo_ok = np.all(Adx[np.isfinite(self.l)] >= -eps)
+        return bool(hi_ok and lo_ok)
 
     # -- main loop ---------------------------------------------------------
 
@@ -241,7 +207,7 @@ class QpSolver:
         warm : bool
             Start from the final iterates of the previous solve.
         """
-        st = self.settings
+        polish = self.settings.polish
         n, m = self.problem.n, self.m
         q = self.problem.lin if lin is None else np.asarray(lin, float).ravel()
         cn = self.problem.const if const is None else float(const)
@@ -253,7 +219,7 @@ class QpSolver:
         else:
             x = np.zeros(n)
             y = np.zeros(m)
-            z = np.clip(self.M @ x, self.l, self.u) if m else np.zeros(0)
+            z = np.clip(self.M @ x, self.l, self.u)
 
         status = MAX_ITER
         it = 0
@@ -261,28 +227,24 @@ class QpSolver:
         pinf_hits = dinf_hits = 0
         r_prim = r_dual = np.inf
         rescue_ref = np.inf
-        for it in range(1, st.max_iter + 1):
+        for it in range(1, ITER_LIMIT + 1):
             x_prev = x
             y_prev = y
-            rhs = SIGMA * x - q
-            if m:
-                rhs = rhs + self.M.T @ (self.rho * z - y)
+            rhs = SIGMA * x - q + self.M.T @ (self.rho * z - y)
             xt = scipy.linalg.cho_solve(self.chol, rhs, check_finite=False)
             x = RELAX * xt + (1.0 - RELAX) * x
-            if m:
-                zt = self.M @ xt
-                zr = RELAX * zt + (1.0 - RELAX) * z
-                z_new = np.clip(zr + y / self.rho, self.l, self.u)
-                y = y + self.rho * (zr - z_new)
-                z = z_new
+            zr = RELAX * (self.M @ xt) + (1.0 - RELAX) * z
+            z_new = np.clip(zr + y / self.rho, self.l, self.u)
+            y = y + self.rho * (zr - z_new)
+            z = z_new
 
-            if it % st.check_every == 0 or it == st.max_iter:
+            if it % CHECK_EVERY == 0 or it == ITER_LIMIT:
                 r_prim, r_dual, eps_p, eps_d = self._residuals(x, y, z, q)
                 if r_prim <= eps_p and r_dual <= eps_d:
                     status = OPTIMAL
                     break
                 # divergence certificates, confirmed at two consecutive checks
-                if m and self._primal_certificate(y - y_prev):
+                if self._primal_certificate(y - y_prev):
                     pinf_hits += 1
                     if pinf_hits >= 2:
                         status = INFEASIBLE
@@ -303,7 +265,7 @@ class QpSolver:
                 # degenerate active sets can leave the iteration chattering
                 # with flat residuals; when that happens, try to finish
                 # directly from the current active-set guess
-                if st.polish and it % RESCUE_EVERY == 0:
+                if polish and it % RESCUE_EVERY == 0:
                     gm = np.sqrt((r_prim + 1e-16) * (r_dual + 1e-16))
                     if gm > rescue_ref / 3.0:
                         cand = self._rescue(x, y, z, q, cn, it)
@@ -313,17 +275,15 @@ class QpSolver:
                     rescue_ref = min(rescue_ref, gm)
 
         self._last = (x.copy(), y.copy(), z.copy())
-        meq = self.problem.m_eq
         sol = QpSolution(
-            x=x, duals={"eq": y[:meq].copy(), "ineq": y[meq:].copy()},
-            status=status, iterations=it,
+            x=x, y=y.copy(), status=status, iterations=it,
             residuals={"primal": r_prim if np.isfinite(r_prim) else 0.0,
                        "dual": r_dual},
             objective=float(0.5 * x @ self.problem.quad @ x + q @ x + cn),
             certificate=cert)
-        if status == OPTIMAL and st.polish:
+        if status == OPTIMAL and polish:
             self._polish(sol, q, cn, z=z)
-        elif status == MAX_ITER and st.polish:
+        elif status == MAX_ITER and polish:
             # the stalled iterate often carries a usable active-set guess;
             # accept the polished point only at full-KKT tolerance, which
             # certifies optimality regardless of how the iterates behaved
@@ -332,10 +292,9 @@ class QpSolver:
 
     def _rescue(self, x, y, z, q, cn, iterations):
         """Certified early finish from a stalled iterate, or None."""
-        meq = self.problem.m_eq
         sol = QpSolution(
-            x=x.copy(), duals={"eq": y[:meq].copy(), "ineq": y[meq:].copy()},
-            status=MAX_ITER, iterations=iterations, residuals={},
+            x=x.copy(), y=y.copy(), status=MAX_ITER, iterations=iterations,
+            residuals={},
             objective=float(0.5 * x @ self.problem.quad @ x + q @ x + cn))
         self._polish(sol, q, cn, z=z, require=TOL)
         if sol.polished and sol.status == OPTIMAL:
@@ -392,10 +351,8 @@ class QpSolver:
             y_new = np.zeros(self.m)
             y_new[rows] = v[n:]
             return QpSolution(
-                x=x_new,
-                duals={"eq": y_new[:self.problem.m_eq],
-                       "ineq": y_new[self.problem.m_eq:]},
-                status=OPTIMAL, iterations=iterations, residuals={},
+                x=x_new, y=y_new, status=OPTIMAL, iterations=iterations,
+                residuals={},
                 objective=float(0.5 * x_new @ self.problem.quad @ x_new
                                 + q @ x_new + cn))
 
@@ -450,7 +407,7 @@ class QpSolver:
         """
         if self.m == 0:
             return
-        y = np.concatenate([sol.duals["eq"], sol.duals["ineq"]])
+        y = sol.y
         if z is None:
             z = np.clip(self.M @ sol.x, self.l, self.u)
         rows, at_lo = self._active_guess(y, z)
@@ -462,7 +419,7 @@ class QpSolver:
                 break
             if res < best_res:
                 best, best_res = cand, res
-            y_c = np.concatenate([cand.duals["eq"], cand.duals["ineq"]])
+            y_c = cand.y
             sign_tol = 1e-9 * max(1.0, _norm(y_c))
             wrong = np.zeros(rows.size, dtype=bool)
             free = ~self.eq_mask[rows]
@@ -475,7 +432,7 @@ class QpSolver:
         limit = _kkt_max(self.problem, sol, q) if require is None else require
         if best is not None and np.isfinite(best_res) and best_res <= limit:
             sol.x = best.x
-            sol.duals = best.duals
+            sol.y = best.y
             sol.objective = best.objective
             sol.residuals = {"primal": best_res, "dual": best_res}
             sol.polished = True
@@ -497,33 +454,26 @@ def kkt_residuals(problem: QpProblem, sol: QpSolution,
                   lin=None) -> dict:
     """Stationarity, feasibility, and complementarity residuals (inf-norm).
 
+    Equality rows (finite lo == hi) carry no complementarity term.
+
     Returns
     -------
     dict with keys 'primal', 'dual', 'comp'.
     """
     q = problem.lin if lin is None else np.asarray(lin, float).ravel()
-    x = sol.x
-    primal = 0.0
-    comp = 0.0
-    grad = problem.quad @ x + q
-    if problem.eq is not None:
-        A, b = problem.eq
-        primal = max(primal, _norm(A @ x - b))
-        grad = grad + A.T @ sol.duals["eq"]
-    if problem.ineq is not None:
-        C, lo, hi = problem.ineq
-        Cx = C @ x
-        below = np.where(np.isfinite(lo), np.maximum(lo - Cx, 0.0), 0.0)
-        above = np.where(np.isfinite(hi), np.maximum(Cx - hi, 0.0), 0.0)
-        primal = max(primal, _norm(below), _norm(above))
-        mu = sol.duals["ineq"]
-        grad = grad + C.T @ mu
-        for i in range(C.shape[0]):
-            if mu[i] > 0 and np.isfinite(hi[i]):
-                comp = max(comp, abs(mu[i] * (hi[i] - Cx[i])))
-            elif mu[i] < 0 and np.isfinite(lo[i]):
-                comp = max(comp, abs(mu[i] * (Cx[i] - lo[i])))
-    return {"primal": primal, "dual": _norm(grad), "comp": comp}
+    A, lo, hi = problem.rows
+    x, y = sol.x, sol.y
+    Ax = A @ x
+    below = np.where(np.isfinite(lo), np.maximum(lo - Ax, 0.0), 0.0)
+    above = np.where(np.isfinite(hi), np.maximum(Ax - hi, 0.0), 0.0)
+    grad = problem.quad @ x + q + A.T @ y
+    ineq = ~(np.isfinite(lo) & (lo == hi))
+    up = ineq & (y > 0) & np.isfinite(hi)
+    down = ineq & (y < 0) & np.isfinite(lo)
+    comp = max(_norm(y[up] * (hi[up] - Ax[up])),
+               _norm(y[down] * (Ax[down] - lo[down])))
+    return {"primal": max(_norm(below), _norm(above)), "dual": _norm(grad),
+            "comp": comp}
 
 
 def _kkt_max(problem, sol, q) -> float:

@@ -56,10 +56,6 @@ class Scenario:
                     f"tariff.{name}: length "
                     f"{len(getattr(self.tariff, name))}, expected {n}")
 
-    @property
-    def user_ids(self):
-        return [u.user_id for u in self.users]
-
 
 # ---------------------------------------------------------------------------
 # scenario.conf parsing
@@ -88,10 +84,6 @@ class _Conf:
     def __init__(self, path: Path, entries: dict):
         self.path = path
         self.entries = entries
-        self.used = set()
-
-    def has(self, key):
-        return key in self.entries
 
     def raw(self, key, default=None, required=False):
         if key not in self.entries:
@@ -99,7 +91,6 @@ class _Conf:
                 raise ScenarioError(
                     f"{self.path}: missing required key {key}")
             return default
-        self.used.add(key)
         return self.entries[key]
 
     def number(self, key, default=None, required=False):

@@ -172,8 +172,8 @@ class ChainTransport(LocalTransport):
 
     def __init__(self, profiles, tariff: Tariff, cfg: AlgoConfig,
                  net: NetConfig | None = None, chain: Chain | None = None,
-                 authorities=None, qp_settings=None):
-        super().__init__(profiles, tariff, cfg, qp_settings=qp_settings)
+                 authorities=None):
+        super().__init__(profiles, tariff, cfg)
         if chain is None:
             if authorities is None:
                 authorities = [f"auth{i}" for i in range(5)]

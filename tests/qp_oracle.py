@@ -1,12 +1,13 @@
 """Brute-force reference solver for small QPs.
 
-Independent of the production solver by construction: every active-set
-assignment of the inequality rows (inactive, pinned at the lower bound,
-pinned at the upper bound) is enumerated, the resulting equality-
-constrained KKT system is solved by least squares, and the best
-candidate that satisfies all constraints wins.  Exponential in the row
-count, so only usable for a handful of inequality rows -- which is the
-point: it shares no code path with the splitting solver it checks.
+Independent of the production solver by construction: the constraint
+rows are split into equalities (finite lo == hi) and inequalities, every
+active-set assignment of the inequality rows (inactive, pinned at the
+lower bound, pinned at the upper bound) is enumerated, the resulting
+equality-constrained KKT system is solved by least squares, and the
+best candidate that satisfies all constraints wins.  Exponential in the
+row count, so only usable for a handful of inequality rows -- which is
+the point: it shares no code path with the splitting solver it checks.
 """
 
 import itertools
@@ -23,17 +24,10 @@ def brute_force_qp(problem, tol=1e-7):
     n = problem.n
     Q = np.asarray(problem.quad, float)
     q = np.asarray(problem.lin, float)
-    if problem.eq is not None:
-        A_eq, b_eq = (np.asarray(m, float) for m in problem.eq)
-    else:
-        A_eq = np.zeros((0, n))
-        b_eq = np.zeros(0)
-    if problem.ineq is not None:
-        C, lo, hi = (np.asarray(m, float) for m in problem.ineq)
-    else:
-        C = np.zeros((0, n))
-        lo = np.zeros(0)
-        hi = np.zeros(0)
+    M, row_lo, row_hi = (np.asarray(m, float) for m in problem.rows)
+    eq = np.isfinite(row_lo) & (row_lo == row_hi)
+    A_eq, b_eq = M[eq], row_lo[eq]
+    C, lo, hi = M[~eq], row_lo[~eq], row_hi[~eq]
     m = C.shape[0]
     best = None
     for assignment in itertools.product((0, 1, 2), repeat=m):
@@ -73,13 +67,15 @@ def random_bounded_qp(rng, n_max=10, m_max=6, eq_max=2):
     q = rng.normal(size=n)
     x0 = rng.normal(size=n)
     m_eq = int(rng.integers(0, min(eq_max, max(n - 1, 0)) + 1))
-    eq = None
+    A, b = np.zeros((0, n)), np.zeros(0)
     if m_eq:
         A = rng.normal(size=(m_eq, n))
-        eq = (A, A @ x0)
+        b = A @ x0
     m = int(rng.integers(1, m_max + 1))
     C = rng.normal(size=(m, n))
     mid = C @ x0
     lo = mid - rng.uniform(0.05, 2.0, m)
     hi = mid + rng.uniform(0.05, 2.0, m)
-    return QpProblem(n=n, quad=Q, lin=q, eq=eq, ineq=(C, lo, hi))
+    return QpProblem(n=n, quad=Q, lin=q,
+                     rows=(np.vstack([A, C]), np.concatenate([b, lo]),
+                           np.concatenate([b, hi])))

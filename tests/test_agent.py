@@ -1,5 +1,7 @@
 """Household subproblem builders, decoding, and the per-agent runtime."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from conftest import surplus_pair, toy_profile, toy_tariff
@@ -9,9 +11,10 @@ from vppsim.agent import (AgentRuntime, BuildError, DecodeError, DualSlice,
                           build_centralized, build_co_primal,
                           build_sa_problem, decode, decode_all,
                           thermal_response)
-from vppsim.model import (CO, SA, battery_trajectory, check_feasibility,
-                          cost_breakdown, thermal_trajectory)
-from vppsim.qp import solve_qp
+from vppsim.model import (CO, SA, InvalidInput, battery_trajectory,
+                          check_feasibility, cost_breakdown,
+                          thermal_trajectory)
+from vppsim.qp import QpProblem, solve_qp
 
 
 def test_layout_sizes_and_slices():
@@ -82,12 +85,38 @@ def test_cooperative_build_rejects_bad_peer_sets():
     p = toy_profile(H=2)
     tariff = toy_tariff(2)
     with pytest.raises(BuildError):
-        build_co_primal(p, tariff, [], DualSlice.zeros([], 2, 1.0))
+        build_co_primal(p, tariff, [], 1.0)
     with pytest.raises(BuildError):
-        build_co_primal(p, tariff, [p.user_id],
-                        DualSlice.zeros([p.user_id], 2, 1.0))
-    with pytest.raises(BuildError):
-        build_co_primal(p, tariff, ["vx"], DualSlice.zeros(["vy"], 2, 1.0))
+        build_co_primal(p, tariff, [p.user_id], 1.0)
+    with pytest.raises(InvalidInput):
+        build_co_primal(p, tariff, ["vx"], 0.0)
+
+
+def _digest(prob):
+    A, lo, hi = prob.rows
+    h = hashlib.sha256()
+    for arr in (prob.quad, prob.lin, A, lo, hi):
+        h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def test_built_problems_are_pinned():
+    # Digests of quad, lin and the constraint system, taken from the
+    # earlier two-block (equalities, then inequalities) assembly; any
+    # reordered row or changed coefficient fails.
+    p = toy_profile("ub", H=4, renewable=[0.0, 1.5, 2.0, 0.5],
+                    inflexible=[0.8, 0.3, 0.4, 1.1], flex_total=1.0,
+                    capacity=5.0, t_out=[24.0, 27.0, 29.0, 26.0])
+    tariff = toy_tariff(4, pi_dr=[0.0, 0.1, 0.2, 0.0],
+                        pi_as=[0.05, 0.0, 0.0, 0.05])
+    sa, _ = build_sa_problem(p, tariff)
+    co, _ = build_co_primal(p, tariff, ["uc", "ua"], 1.5, trade_cap=4.0)
+    assert co.rows[0].shape == (73, 45)
+    assert _digest(sa) == ("0b305c773034f6c110e80f8d0359e51a"
+                           "3d3e57a008cb1af124c8296085fcf08f")
+    assert _digest(co) == ("9808df39cf834be73af1eb2ff72e6bc4"
+                           "fc5d89848aa4b1ec00cb998f9223409d")
+    assert sa.const == co.const == 0.598512224965009
 
 
 def test_admm_terms_reproduce_the_penalty():
@@ -158,9 +187,9 @@ def test_cooperation_never_costs_more_than_standing_alone():
 
 
 def test_decode_refuses_failed_solves():
-    from vppsim.qp import QpProblem
     bad = QpProblem(n=1, quad=np.zeros((1, 1)), lin=np.zeros(1),
-                    eq=(np.array([[1.0], [1.0]]), np.array([0.0, 1.0])))
+                    rows=(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]),
+                          np.array([0.0, 1.0])))
     sol = solve_qp(bad)
     with pytest.raises(DecodeError):
         decode(sol, Layout(horizon=1))
@@ -180,11 +209,13 @@ def test_runtime_shares_only_trade_vectors():
     a, b = surplus_pair(H=2)
     tariff = toy_tariff(2, pi_fit=0.1)
     rt = AgentRuntime(a, tariff, peers=["ub"], rho=1.0, trade_cap=10.0)
-    out = rt.solve_round(DualSlice.zeros(["ub"], 2, 1.0))
+    zero = DualSlice(aux={"ub": np.zeros(2)}, mult={"ub": np.zeros(2)},
+                     rho=1.0)
+    out = rt.solve_round(zero)
     assert set(out) == {"ub"}
     assert out["ub"].shape == (2,)
     assert rt.solves == 1
     assert rt.schedule is not None and rt.cost is not None
-    again = rt.solve_round(DualSlice.zeros(["ub"], 2, 1.0))
+    again = rt.solve_round(zero)
     np.testing.assert_allclose(again["ub"], out["ub"], atol=1e-9)
     assert rt.solves == 2

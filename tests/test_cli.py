@@ -3,7 +3,7 @@
 import pytest
 
 from vppsim.cli import main
-from vppsim.scenario_io import read_comparison
+from vppsim.scenario_io import gen_synthetic, read_comparison, write_scenario
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +129,13 @@ def test_bad_generation_request_is_a_clean_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "error:" in err
+
+
+def test_unbuildable_household_is_a_clean_error(tmp_path, capsys):
+    # a 12-slot day whose first-slot temperature the AC cannot steer
+    write_scenario(gen_synthetic(seed=1, users=2, slots=12), tmp_path)
+    code = main(["run-sa", "--scenario", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: user u01:")
+    assert "first-slot temperature" in err

@@ -6,13 +6,13 @@ from conftest import surplus_pair, toy_profile, toy_tariff
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vppsim import qp
 from vppsim.agent import AgentSolveError
 from vppsim.coordinator import (AlgoConfig, DualState, LocalTransport,
                                 ProtocolError, convergence, dual_update,
                                 lambda_update, run_decentralized,
                                 stack_trades)
 from vppsim.model import InvalidInput
-from vppsim.qp import QpSettings
 
 # rows and columns of the (2, 2, H) pair arrays over users ("u", "v")
 PAIR = (0, 1)
@@ -179,13 +179,12 @@ def test_single_household_is_rejected():
         run_decentralized([toy_profile()], toy_tariff(4), AlgoConfig())
 
 
-def test_failed_subproblem_names_the_household():
+def test_failed_subproblem_names_the_household(monkeypatch):
+    monkeypatch.setattr(qp, "ITER_LIMIT", 1)
+    monkeypatch.setattr(qp, "CHECK_EVERY", 1)
     profiles = surplus_pair(H=4)
     tariff = toy_tariff(4, pi_fit=0.1)
-    starved = LocalTransport(profiles, tariff, AlgoConfig(),
-                             qp_settings=QpSettings(max_iter=1,
-                                                    check_every=1,
-                                                    polish=False))
+    starved = LocalTransport(profiles, tariff, AlgoConfig())
     with pytest.raises(AgentSolveError) as err:
         run_decentralized(profiles, tariff, AlgoConfig(), transport=starved)
     assert err.value.user == "ua"

@@ -78,7 +78,8 @@ def test_write_then_load_preserves_everything(tmp_path):
     assert back.tariff.alpha == sc.tariff.alpha
     np.testing.assert_allclose(back.tariff.pi_dr, sc.tariff.pi_dr,
                                rtol=1e-12)
-    assert back.user_ids == sc.user_ids
+    assert [u.user_id for u in back.users] == \
+        [u.user_id for u in sc.users]
     for orig, load in zip(sc.users, back.users):
         np.testing.assert_allclose(load.exo.renewable_cap,
                                    orig.exo.renewable_cap, rtol=1e-12)

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qp_oracle import brute_force_qp, random_bounded_qp
+from vppsim import qp
 from vppsim.qp import (INFEASIBLE, MAX_ITER, OPTIMAL, UNBOUNDED, QpProblem,
-                       QpSettings, QpSolver, kkt_residuals, solve_qp)
+                       QpSettings, QpSolution, QpSolver, kkt_residuals,
+                       solve_qp)
 
 
 def test_active_bound_pins_the_minimizer():
     prob = QpProblem(n=1, quad=np.array([[2.0]]), lin=np.zeros(1),
-                     ineq=(np.array([[1.0]]), np.array([1.0]),
+                     rows=(np.array([[1.0]]), np.array([1.0]),
                            np.array([np.inf])))
     sol = solve_qp(prob)
     assert sol.status == OPTIMAL
@@ -22,7 +24,8 @@ def test_active_bound_pins_the_minimizer():
 def test_equality_constrained_two_variable_problem():
     # min (x-3)^2 + (y+1)^2  s.t. x + y = 0; hand KKT gives (2, -2)
     prob = QpProblem(n=2, quad=2 * np.eye(2), lin=np.array([-6.0, 2.0]),
-                     eq=(np.array([[1.0, 1.0]]), np.zeros(1)), const=10.0)
+                     rows=(np.array([[1.0, 1.0]]), np.zeros(1), np.zeros(1)),
+                     const=10.0)
     sol = solve_qp(prob)
     assert sol.status == OPTIMAL
     np.testing.assert_allclose(sol.x, [2.0, -2.0], atol=1e-7)
@@ -33,7 +36,8 @@ def test_equality_constrained_two_variable_problem():
 
 def test_contradictory_equalities_are_infeasible():
     prob = QpProblem(n=1, quad=np.zeros((1, 1)), lin=np.zeros(1),
-                     eq=(np.array([[1.0], [1.0]]), np.array([1.0, 2.0])))
+                     rows=(np.array([[1.0], [1.0]]), np.array([1.0, 2.0]),
+                           np.array([1.0, 2.0])))
     sol = solve_qp(prob)
     assert sol.status == INFEASIBLE
 
@@ -54,18 +58,52 @@ def test_zero_problem_reports_zero_residuals():
 
 def test_perturbed_point_shows_in_residuals():
     prob = QpProblem(n=2, quad=2 * np.eye(2), lin=np.array([-6.0, 2.0]),
-                     eq=(np.array([[1.0, 1.0]]), np.zeros(1)))
+                     rows=(np.array([[1.0, 1.0]]), np.zeros(1), np.zeros(1)))
     sol = solve_qp(prob)
     sol.x[0] += 0.1
     res = kkt_residuals(prob, sol)
     assert max(res["primal"], res["dual"]) >= 0.05
 
 
-def test_iteration_budget_returns_best_iterate():
+def test_kkt_residuals_match_a_per_row_reference():
+    # the vectorized residuals against a row-by-row evaluation, on random
+    # points and multipliers of both signs; equality rows (lo == hi)
+    # contribute feasibility and stationarity but no complementarity
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        prob = random_bounded_qp(rng)
+        A, lo, hi = prob.rows
+        lo = np.where(rng.random(lo.size) < 0.2, -np.inf, lo)
+        prob = QpProblem(n=prob.n, quad=prob.quad, lin=prob.lin,
+                         rows=(A, lo, hi))
+        x = rng.normal(size=prob.n)
+        y = rng.normal(size=lo.size)
+        res = kkt_residuals(prob, QpSolution(x=x, y=y, status=OPTIMAL,
+                                             iterations=0, residuals={}))
+        primal = comp = 0.0
+        for i in range(lo.size):
+            v = A[i] @ x
+            if np.isfinite(lo[i]):
+                primal = max(primal, lo[i] - v)
+            primal = max(primal, v - hi[i])
+            if lo[i] == hi[i]:
+                continue
+            if y[i] > 0:
+                comp = max(comp, abs(y[i] * (hi[i] - v)))
+            elif y[i] < 0 and np.isfinite(lo[i]):
+                comp = max(comp, abs(y[i] * (v - lo[i])))
+        grad = prob.quad @ x + prob.lin + A.T @ y
+        assert res["primal"] == pytest.approx(primal, rel=1e-12)
+        assert res["comp"] == pytest.approx(comp, rel=1e-12)
+        assert res["dual"] == np.max(np.abs(grad))
+
+
+def test_iteration_budget_returns_best_iterate(monkeypatch):
+    monkeypatch.setattr(qp, "ITER_LIMIT", 3)
+    monkeypatch.setattr(qp, "CHECK_EVERY", 1)
     rng = np.random.default_rng(1)
     prob = random_bounded_qp(rng)
-    sol = solve_qp(prob, QpSettings(max_iter=3, check_every=1,
-                                    polish=False))
+    sol = solve_qp(prob, QpSettings(polish=False))
     assert sol.status == MAX_ITER
 
 
@@ -83,7 +121,7 @@ def test_scaling_invariance_of_argmin():
     rng = np.random.default_rng(11)
     prob = random_bounded_qp(rng)
     scaled = QpProblem(n=prob.n, quad=7.3 * prob.quad, lin=7.3 * prob.lin,
-                       eq=prob.eq, ineq=prob.ineq)
+                       rows=prob.rows)
     a = solve_qp(prob)
     b = solve_qp(scaled)
     np.testing.assert_allclose(a.x, b.x, atol=1e-6)
@@ -96,8 +134,7 @@ def test_warm_restart_reaches_the_same_answer():
     first = solver.solve()
     again = solver.solve(lin=prob.lin * 1.01, warm=True)
     direct = solve_qp(QpProblem(n=prob.n, quad=prob.quad,
-                                lin=prob.lin * 1.01, eq=prob.eq,
-                                ineq=prob.ineq))
+                                lin=prob.lin * 1.01, rows=prob.rows))
     assert again.status == OPTIMAL
     np.testing.assert_allclose(again.x, direct.x, atol=1e-6)
     assert again.iterations <= first.iterations
