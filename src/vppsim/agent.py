@@ -4,10 +4,13 @@ Maps a UserProfile onto QpProblem data: the stand-alone problem, the
 cooperative trading subproblem, and the centralized problem over all
 households used as the verification oracle.  Each builder writes its
 constraints into one `_Rows` list, in emission order, as the QP's single
-system lo <= A x <= hi.  The cooperative build is dual-free: it carries
-the splitting penalty's fixed quadratic part, and the coordination state
-(auxiliary trades and multipliers) enters the objective only through
-`admm_terms`, once per trading round.
+system lo <= A x <= hi, and its objective blocks into a `_Quad`; both
+hold only the entries a row or block touches and build sparse CSR
+matrices, so no builder allocates a dense constraint matrix.  The
+cooperative build is dual-free: it carries the splitting penalty's
+fixed quadratic part, and the coordination state (auxiliary trades and
+multipliers) enters the objective only through `admm_terms`, once per
+trading round.
 
 Variable layout per household, in order: g, r, l_ac, l_fl, c, d, e_fit,
 e_dr, e_as (each one slot-vector), the scalar peak epigraph variable,
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .model import (CO, AcParams, BatteryParams, DimensionError, InvalidInput,
                     Schedule, Tariff, UserProfile, ZERO_CLAMP, cost_breakdown)
@@ -119,22 +123,48 @@ def battery_response(bp: BatteryParams, H: int):
 # ---------------------------------------------------------------------------
 
 class _Rows:
-    """Accumulates dense constraint rows over n variables."""
+    """Accumulates sparse constraint rows over n variables, in order."""
 
     def __init__(self, n):
         self.n = n
-        self.rows, self.lo, self.hi = [], [], []
+        self.cols, self.vals, self.lo, self.hi = [], [], [], []
 
     def add(self, cols, vals, lo, hi):
-        row = np.zeros(self.n)
-        row[np.asarray(cols, dtype=int)] = vals
-        self.rows.append(row)
+        self.cols.append(np.asarray(cols, dtype=int))
+        self.vals.append(np.asarray(vals, dtype=float))
         self.lo.append(lo)
         self.hi.append(hi)
 
     def build(self):
-        return (np.vstack(self.rows), np.array(self.lo, dtype=float),
+        """(A, lo, hi) with A in CSR, one row per `add` call."""
+        indptr = np.cumsum([0] + [c.size for c in self.cols])
+        A = sp.csr_array((np.concatenate(self.vals),
+                          np.concatenate(self.cols), indptr),
+                         shape=(len(self.lo), self.n))
+        return (A, np.array(self.lo, dtype=float),
                 np.array(self.hi, dtype=float))
+
+
+class _Quad:
+    """Accumulates square blocks of the objective matrix over n variables."""
+
+    def __init__(self, n):
+        self.n = n
+        self.rows, self.cols, self.vals = [], [], []
+
+    def add(self, sl: slice, block):
+        """Add `block` on the variables of `sl`, against themselves."""
+        idx = np.arange(sl.start, sl.stop)
+        self.rows.append(np.repeat(idx, idx.size))
+        self.cols.append(np.tile(idx, idx.size))
+        self.vals.append(np.ravel(block))
+
+    def build(self):
+        """The CSR matrix; blocks that overlap add."""
+        return sp.csr_array((np.concatenate(self.vals),
+                             (np.concatenate(self.rows),
+                              np.concatenate(self.cols))),
+                            shape=(self.n, self.n))
 
 
 def _check_buildable(p: UserProfile, T0):
@@ -151,8 +181,8 @@ def _check_buildable(p: UserProfile, T0):
 
 
 def _user_block(p: UserProfile, tariff: Tariff, lay: Layout,
-                quad, lin, rows: _Rows, trade_cap: float | None):
-    """Write one household's objective and constraints into the big arrays.
+                quad: _Quad, lin, rows: _Rows, trade_cap: float | None):
+    """Write one household's objective and constraints into the accumulators.
 
     Returns the objective constant contributed by this household.
     """
@@ -177,12 +207,12 @@ def _user_block(p: UserProfile, tariff: Tariff, lay: Layout,
     lin[lay.peak] += tariff.beta
     # AC discomfort on the affine temperature response
     dev = T0 - p.ac.tau
-    quad[lac, lac.start:lac.stop] += 2.0 * p.ac.omega_ac * (MT.T @ MT)
+    quad.add(lac, 2.0 * p.ac.omega_ac * (MT.T @ MT))
     lin[lac] += 2.0 * p.ac.omega_ac * (MT.T @ dev)
     const = p.ac.omega_ac * float(dev @ dev)
     # flexible-load discomfort
     ref = p.flex.reference[:H]
-    quad[lfl, lfl.start:lfl.stop] += 2.0 * p.flex.omega_fl * np.eye(H)
+    quad.add(lfl, 2.0 * p.flex.omega_fl * np.eye(H))
     lin[lfl] += -2.0 * p.flex.omega_fl * ref
     const += p.flex.omega_fl * float(ref @ ref)
     # battery wear, service rewards
@@ -259,11 +289,12 @@ def build_sa_problem(p: UserProfile, tariff: Tariff):
     """
     lay = Layout(horizon=p.horizon)
     n = lay.n
-    quad = np.zeros((n, n))
+    quad = _Quad(n)
     lin = np.zeros(n)
     rows = _Rows(n)
     const = _user_block(p, tariff, lay, quad, lin, rows, None)
-    prob = QpProblem(n=n, quad=quad, lin=lin, rows=rows.build(), const=const)
+    prob = QpProblem(n=n, quad=quad.build(), lin=lin, rows=rows.build(),
+                     const=const)
     return prob, lay
 
 
@@ -306,16 +337,16 @@ def build_co_primal(p: UserProfile, tariff: Tariff, peers, rho: float,
         raise InvalidInput(f"rho must be positive, got {rho}")
     lay = Layout(horizon=p.horizon, peers=peers)
     n = lay.n
-    quad = np.zeros((n, n))
+    quad = _Quad(n)
     lin = np.zeros(n)
     rows = _Rows(n)
     const = _user_block(p, tariff, lay, quad, lin, rows, trade_cap)
     for v in peers:
         sl = lay.trade(v)
-        quad[np.arange(sl.start, sl.stop),
-             np.arange(sl.start, sl.stop)] += rho
+        quad.add(sl, rho * np.eye(p.horizon))
         lin[sl] += tariff.pi_p2p
-    prob = QpProblem(n=n, quad=quad, lin=lin, rows=rows.build(), const=const)
+    prob = QpProblem(n=n, quad=quad.build(), lin=lin, rows=rows.build(),
+                     const=const)
     return prob, lay
 
 
@@ -356,7 +387,7 @@ def build_centralized(profiles, tariff: Tariff,
         layouts[p.user_id] = Layout(horizon=H, peers=peers, offset=offset)
         offset += layouts[p.user_id].n
     n = offset
-    quad = np.zeros((n, n))
+    quad = _Quad(n)
     lin = np.zeros(n)
     rows = _Rows(n)
     const = 0.0
@@ -373,7 +404,8 @@ def build_centralized(profiles, tariff: Tariff,
             sv = layouts[v].trade(u)
             for t in range(H):
                 rows.add([su.start + t, sv.start + t], [1.0, 1.0], 0.0, 0.0)
-    prob = QpProblem(n=n, quad=quad, lin=lin, rows=rows.build(), const=const)
+    prob = QpProblem(n=n, quad=quad.build(), lin=lin, rows=rows.build(),
+                     const=const)
     return prob, layouts
 
 

@@ -1,4 +1,4 @@
-"""Dense convex QP solver based on operator splitting.
+"""Convex QP solver based on operator splitting, on sparse data.
 
 Every problem is stated in one form,
 
@@ -7,19 +7,25 @@ Every problem is stated in one form,
 
 where entries of lo/hi may be -inf/+inf and a row with finite lo == hi
 is an equality (the form of Stellato et al., OSQP, Math. Prog. Comp.
-2020, section 2).  It is solved with an ADMM splitting (alternating
-projections with over-relaxation) that needs a single Cholesky
-factorization of Q + sigma I + A' diag(rho) A, which `QpSolver` caches
-so that repeated solves with a new linear term (the situation in the
+2020, section 2).  Q and A are held as scipy.sparse CSR matrices, as
+OSQP holds them: the household rows touch a few variables each, so
+every product in the iteration, the residual checks and the
+certificates is a sparse one.  It is solved with an ADMM splitting
+(alternating projections with over-relaxation) that needs a single
+Cholesky factorization of Q + sigma I + A' diag(rho) A; that matrix is
+formed sparse and factored dense, and `QpSolver` caches the factor so
+that repeated solves with a new linear term (the situation in the
 trading loop) are cheap.  Step sizes are rebalanced every ADAPT_EVERY
 iterations from the primal/dual residual imbalance.  Infeasibility and
 unboundedness are declared through the standard divergence certificates
 of the splitting iteration.  A final polish step solves the KKT system
-of the detected active set to push residuals to machine precision.
+of the detected active set, assembled from the sparse blocks and
+factored dense, to push residuals to machine precision.
 
 Everything is deterministic at a fixed BLAS thread count: identical
 inputs and settings produce identical iterates, iteration counts, and
-output bytes.  The dense Cholesky solve may round differently under a
+output bytes.  The sparse products do not depend on that count; the
+dense Cholesky solve (`cho_solve`) may round differently under a
 different number of BLAS threads, so results, and the ledger's chain
 tips built from them, repeat bit for bit only when that count is
 pinned (OPENBLAS_NUM_THREADS=1, say).
@@ -31,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .model import DimensionError
 
@@ -70,25 +77,31 @@ class QpProblem:
     or None for an unconstrained problem; entries of lo/hi may be
     -inf/+inf, and a row with finite lo == hi is an equality.  `const` is
     an additive objective constant so built problems can report model
-    costs exactly.
+    costs exactly.  quad and A may be given dense or sparse; both are
+    held as CSR with sorted indices and no stored zeros, so either input
+    solves identically.
     """
 
     n: int
-    quad: np.ndarray
+    quad: sp.csr_array
     lin: np.ndarray
     rows: tuple | None = None
     const: float = 0.0
 
     def __post_init__(self):
-        self.quad = np.asarray(self.quad, dtype=float)
+        self.quad = _csr(self.quad)
         self.lin = np.asarray(self.lin, dtype=float).ravel()
         if self.quad.shape != (self.n, self.n):
             raise DimensionError(
                 f"quad shape {self.quad.shape} != ({self.n}, {self.n})")
         if self.lin.size != self.n:
             raise DimensionError(f"lin length {self.lin.size} != {self.n}")
-        A, lo, hi = self.rows or (np.zeros((0, self.n)), (), ())
-        A = np.asarray(A, dtype=float).reshape(-1, self.n)
+        A, lo, hi = self.rows or (sp.csr_array((0, self.n)), (), ())
+        if not sp.issparse(A):
+            A = np.asarray(A, dtype=float).reshape(-1, self.n)
+        A = _csr(A)
+        if A.shape[1] != self.n:
+            raise DimensionError(f"constraint width {A.shape[1]} != {self.n}")
         lo = np.asarray(lo, dtype=float).ravel()
         hi = np.asarray(hi, dtype=float).ravel()
         if not (A.shape[0] == lo.size == hi.size):
@@ -117,8 +130,21 @@ class QpSolution:
     certificate: np.ndarray | None = None
 
 
+def _csr(a) -> sp.csr_array:
+    """A float CSR copy in canonical form: summed duplicates, sorted
+    indices, no stored zeros."""
+    a = sp.csr_array(a, dtype=float, copy=True)
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    return a
+
+
 def _norm(v) -> float:
     return float(np.max(np.abs(v), initial=0.0))
+
+
+def _objective(problem, x, q, cn) -> float:
+    return float(0.5 * x @ (problem.quad @ x) + q @ x + cn)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +163,7 @@ class QpSolver:
         self.problem = problem
         self.settings = settings or QpSettings()
         self.M, self.l, self.u = problem.rows
+        self.MT = self.M.T.tocsr()
         self.m = self.M.shape[0]
         self.eq_mask = np.isfinite(self.l) & (self.l == self.u)
         self.rho = np.full(self.m, STEP)
@@ -145,9 +172,11 @@ class QpSolver:
         self._factor()
 
     def _factor(self):
-        K = self.problem.quad + SIGMA * np.eye(self.problem.n)
-        K = K + (self.M.T * self.rho) @ self.M
-        self.chol = scipy.linalg.cho_factor(K, lower=True, check_finite=False)
+        K = self.problem.quad + SIGMA * sp.eye_array(self.problem.n)
+        K = K + self.MT @ (sp.diags_array(self.rho) @ self.M)
+        self.chol = scipy.linalg.cho_factor(
+            K.toarray(order="F"), lower=True, overwrite_a=True,
+            check_finite=False)
 
     # -- residuals ---------------------------------------------------------
 
@@ -155,7 +184,7 @@ class QpSolver:
         P = self.problem.quad
         Ax = self.M @ x
         Px = P @ x
-        Aty = self.M.T @ y
+        Aty = self.MT @ y
         r_prim = _norm(Ax - z)
         r_dual = _norm(Px + q + Aty)
         eps_prim = TOL + TOL * max(_norm(Ax), _norm(z))
@@ -167,18 +196,14 @@ class QpSolver:
         if nd <= 1e-14:
             return False
         eps = INF_TOL * nd
-        if _norm(self.M.T @ dy) > eps:
+        if _norm(self.MT @ dy) > eps:
             return False
-        sup = 0.0
-        for i in range(self.m):
-            p, m_ = max(dy[i], 0.0), min(dy[i], 0.0)
-            if p > eps and not np.isfinite(self.u[i]):
-                return False
-            if m_ < -eps and not np.isfinite(self.l[i]):
-                return False
-            sup += (self.u[i] * p if p > eps else 0.0)
-            sup += (self.l[i] * m_ if m_ < -eps else 0.0)
-        return sup <= -eps
+        up, down = dy > eps, dy < -eps
+        if not (np.all(np.isfinite(self.u[up]))
+                and np.all(np.isfinite(self.l[down]))):
+            return False
+        sup = self.u[up] @ dy[up] + self.l[down] @ dy[down]
+        return bool(sup <= -eps)
 
     def _dual_certificate(self, dx, q) -> bool:
         nd = _norm(dx)
@@ -230,7 +255,7 @@ class QpSolver:
         for it in range(1, ITER_LIMIT + 1):
             x_prev = x
             y_prev = y
-            rhs = SIGMA * x - q + self.M.T @ (self.rho * z - y)
+            rhs = SIGMA * x - q + self.MT @ (self.rho * z - y)
             xt = scipy.linalg.cho_solve(self.chol, rhs, check_finite=False)
             x = RELAX * xt + (1.0 - RELAX) * x
             zr = RELAX * (self.M @ xt) + (1.0 - RELAX) * z
@@ -279,8 +304,7 @@ class QpSolver:
             x=x, y=y.copy(), status=status, iterations=it,
             residuals={"primal": r_prim if np.isfinite(r_prim) else 0.0,
                        "dual": r_dual},
-            objective=float(0.5 * x @ self.problem.quad @ x + q @ x + cn),
-            certificate=cert)
+            objective=_objective(self.problem, x, q, cn), certificate=cert)
         if status == OPTIMAL and polish:
             self._polish(sol, q, cn, z=z)
         elif status == MAX_ITER and polish:
@@ -294,8 +318,7 @@ class QpSolver:
         """Certified early finish from a stalled iterate, or None."""
         sol = QpSolution(
             x=x.copy(), y=y.copy(), status=MAX_ITER, iterations=iterations,
-            residuals={},
-            objective=float(0.5 * x @ self.problem.quad @ x + q @ x + cn))
+            residuals={}, objective=_objective(self.problem, x, q, cn))
         self._polish(sol, q, cn, z=z, require=TOL)
         if sol.polished and sol.status == OPTIMAL:
             return sol
@@ -313,10 +336,10 @@ class QpSolver:
         workable range instead of hopping over it.
         """
         Ax = self.M @ x
-        sp = max(_norm(Ax), _norm(z)) + 1e-12
+        scale_p = max(_norm(Ax), _norm(z)) + 1e-12
         Px = self.problem.quad @ x
-        sd = max(_norm(Px), _norm(self.M.T @ y), _norm(q)) + 1e-12
-        ratio = np.sqrt((r_prim / sp) / (r_dual / sd + 1e-16))
+        scale_d = max(_norm(Px), _norm(self.MT @ y), _norm(q)) + 1e-12
+        ratio = np.sqrt((r_prim / scale_p) / (r_dual / scale_d + 1e-16))
         ratio = float(np.clip(ratio, 0.1, 10.0))
         if ratio > 5.0 or ratio < 0.2:
             self.rho = np.clip(self.rho * ratio, 1e-8, 1e8)
@@ -330,21 +353,15 @@ class QpSolver:
         rhs_g = np.where(at_lo, self.l[rows], self.u[rows])
         n, k = self.problem.n, rows.size
         delta = 1e-9
-        K = np.zeros((n + k, n + k))
-        K[:n, :n] = self.problem.quad + delta * np.eye(n)
-        if k:
-            K[:n, n:] = G.T
-            K[n:, :n] = G
-            K[n:, n:] = -delta * np.eye(k)
+        K0 = sp.block_array([[self.problem.quad, G.T], [G, None]],
+                            format="csr")
+        reg = sp.diags_array(np.repeat([delta, -delta], [n, k]))
         rhs = np.concatenate([-q, rhs_g])
         try:
-            lu = scipy.linalg.lu_factor(K, check_finite=False)
+            lu = scipy.linalg.lu_factor((K0 + reg).toarray(order="F"),
+                                        overwrite_a=True, check_finite=False)
         except (ValueError, np.linalg.LinAlgError):
             return None, None
-        K0 = K.copy()
-        K0[:n, :n] -= delta * np.eye(n)
-        if k:
-            K0[n:, n:] += delta * np.eye(k)
 
         def as_candidate(v):
             x_new = v[:n]
@@ -352,9 +369,7 @@ class QpSolver:
             y_new[rows] = v[n:]
             return QpSolution(
                 x=x_new, y=y_new, status=OPTIMAL, iterations=iterations,
-                residuals={},
-                objective=float(0.5 * x_new @ self.problem.quad @ x_new
-                                + q @ x_new + cn))
+                residuals={}, objective=_objective(self.problem, x_new, q, cn))
 
         v = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
         if not np.all(np.isfinite(v)):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .coordinator import AlgoConfig
 from .model import (AcParams, BatteryParams, ExogenousSeries, FlexParams,
-                    Horizon, InvalidInput, Schedule, Tariff, UserProfile)
+                    Horizon, InvalidInput, Tariff, UserProfile)
 from .simnet import NetConfig, SimError
 
 TRACE_COLUMNS = ("slot", "renewable_cap", "t_out", "inflexible", "flex_ref")
@@ -392,7 +392,10 @@ def gen_synthetic(seed: int, users: int = 10, days: int = 1,
     rng = np.random.default_rng(seed)
     n = slots * days
     sod = np.arange(n) % slots
-    t_out = 27.0 + 5.0 * np.sin(2 * np.pi * (sod - 10) / slots)
+    # the phase is 10 h of a 24 h day at every slot count, so slot 0 sits
+    # at 24.5 C (a first slot near the daily peak cannot be cooled into
+    # the comfort window)
+    t_out = 27.0 + 5.0 * np.sin(2 * np.pi * (sod - 10 * slots / 24) / slots)
     profiles = []
     for i in range(users):
         uid = f"u{i + 1:02d}"
@@ -507,32 +510,6 @@ def _write_schedule_file(path, daily):
                 row.append(repr(float(s.peak)))
                 row += [repr(float(s.trades[v][t])) for v in peers]
                 writer.writerow(row)
-
-
-def read_schedule_file(path) -> list:
-    """Load a schedules/<id>.csv back into per-day Schedule objects."""
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:len(SCHEDULE_COLUMNS)] != list(SCHEDULE_COLUMNS):
-            raise ScenarioError(f"{path}: unexpected schedule header")
-        peers = [h[len("trade_"):] for h in header[len(SCHEDULE_COLUMNS):]]
-        rows = [[float(c) for c in row] for row in reader if row]
-    data = np.asarray(rows)
-    days = sorted(set(int(d) for d in data[:, 0]))
-    out = []
-    for day in days:
-        block = data[data[:, 0] == day]
-        order = np.argsort(block[:, 1])
-        block = block[order]
-        fields = {name: block[:, 2 + i] for i, name in enumerate(
-            ("g", "r", "l_ac", "l_fl", "c", "d", "e_fit", "e_dr", "e_as"))}
-        trades = {v: block[:, len(SCHEDULE_COLUMNS) + i]
-                  for i, v in enumerate(peers)}
-        out.append(Schedule(peak=float(block[0, 11]), trades=trades,
-                            **fields))
-    return out
 
 
 def read_comparison(path) -> list:

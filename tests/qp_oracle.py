@@ -22,9 +22,10 @@ def brute_force_qp(problem, tol=1e-7):
     one feasible active-set candidate; raises if none is found.
     """
     n = problem.n
-    Q = np.asarray(problem.quad, float)
+    Q = problem.quad.toarray()
     q = np.asarray(problem.lin, float)
-    M, row_lo, row_hi = (np.asarray(m, float) for m in problem.rows)
+    A_all, row_lo, row_hi = problem.rows
+    M = A_all.toarray()
     eq = np.isfinite(row_lo) & (row_lo == row_hi)
     A_eq, b_eq = M[eq], row_lo[eq]
     C, lo, hi = M[~eq], row_lo[~eq], row_hi[~eq]

@@ -95,15 +95,16 @@ def test_cooperative_build_rejects_bad_peer_sets():
 def _digest(prob):
     A, lo, hi = prob.rows
     h = hashlib.sha256()
-    for arr in (prob.quad, prob.lin, A, lo, hi):
+    for arr in (prob.quad.toarray(), prob.lin, A.toarray(), lo, hi):
         h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
     return h.hexdigest()
 
 
 def test_built_problems_are_pinned():
-    # Digests of quad, lin and the constraint system, taken from the
-    # earlier two-block (equalities, then inequalities) assembly; any
-    # reordered row or changed coefficient fails.
+    # Digests of quad, lin and the constraint system as dense arrays,
+    # taken from the earlier dense assembly with its negative zeros made
+    # positive (a sparse matrix stores no zeros); any reordered row or
+    # changed coefficient fails.
     p = toy_profile("ub", H=4, renewable=[0.0, 1.5, 2.0, 0.5],
                     inflexible=[0.8, 0.3, 0.4, 1.1], flex_total=1.0,
                     capacity=5.0, t_out=[24.0, 27.0, 29.0, 26.0])
@@ -112,10 +113,10 @@ def test_built_problems_are_pinned():
     sa, _ = build_sa_problem(p, tariff)
     co, _ = build_co_primal(p, tariff, ["uc", "ua"], 1.5, trade_cap=4.0)
     assert co.rows[0].shape == (73, 45)
-    assert _digest(sa) == ("0b305c773034f6c110e80f8d0359e51a"
-                           "3d3e57a008cb1af124c8296085fcf08f")
-    assert _digest(co) == ("9808df39cf834be73af1eb2ff72e6bc4"
-                           "fc5d89848aa4b1ec00cb998f9223409d")
+    assert _digest(sa) == ("734973a67b4300d85521c2c52a84f15d"
+                           "84955a5c4b1e749b1ccf73f1d6a5ab4c")
+    assert _digest(co) == ("a67a8be04a1ee36040b53cf5c110fb9f"
+                           "8380838f831ca7109d4fe09dc12e4701")
     assert sa.const == co.const == 0.598512224965009
 
 

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, driven through main()."""
 
+from dataclasses import replace
+
 import pytest
 
 from vppsim.cli import main
@@ -132,8 +134,11 @@ def test_bad_generation_request_is_a_clean_error(tmp_path, capsys):
 
 
 def test_unbuildable_household_is_a_clean_error(tmp_path, capsys):
-    # a 12-slot day whose first-slot temperature the AC cannot steer
-    write_scenario(gen_synthetic(seed=1, users=2, slots=12), tmp_path)
+    # a room that starts at 35 C: the first-slot temperature, which no
+    # control reaches, lies above the 30 C comfort bound
+    sc = gen_synthetic(seed=1, users=2)
+    hot = replace(sc.users[0], ac=replace(sc.users[0].ac, t_init=35.0))
+    write_scenario(replace(sc, users=[hot] + sc.users[1:]), tmp_path)
     code = main(["run-sa", "--scenario", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1

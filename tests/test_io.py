@@ -1,15 +1,17 @@
 """Scenario files, synthetic generation, and result emission."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from vppsim.coordinator import TraceRecord
+from vppsim.experiment import run_sa
 from vppsim.model import Schedule
 from vppsim.scenario_io import (COMPARISON_COLUMNS, ScenarioError,
                                 gen_synthetic, load_scenario,
-                                read_comparison, read_schedule_file,
-                                scenario_conf_text, write_results,
-                                write_scenario)
+                                read_comparison, scenario_conf_text,
+                                write_results, write_scenario)
 
 
 def scenario_bytes(root):
@@ -29,6 +31,20 @@ def test_generation_is_byte_deterministic(tmp_path):
     assert scenario_bytes(tmp_path / "a") == scenario_bytes(tmp_path / "b")
     write_scenario(gen_synthetic(seed=4, users=4), tmp_path / "c")
     assert scenario_bytes(tmp_path / "a") != scenario_bytes(tmp_path / "c")
+
+
+@pytest.mark.parametrize("slots", [12, 24, 48])
+def test_outdoor_phase_scales_with_the_slot_count(slots):
+    sc = gen_synthetic(seed=1, users=2, slots=slots)
+    assert sc.users[0].exo.t_out[0] == pytest.approx(24.5, abs=1e-12)
+
+
+def test_short_horizon_scenario_builds_stand_alone():
+    # a 12-slot day once started near the daily temperature peak, out of
+    # the comfort window's reach
+    run = run_sa(gen_synthetic(seed=1, users=2, slots=12))
+    assert run.feasible
+    assert set(run.costs) == {"u01", "u02"}
 
 
 def test_solar_households_are_dark_at_night():
@@ -169,16 +185,16 @@ def test_schedule_files_round_trip_exactly(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == ("day,slot,g,r,l_ac,l_fl,c,d,e_fit,e_dr,e_as,peak,"
                       "trade_u02")
-    back = read_schedule_file(path)
-    assert len(back) == 2
-    for orig, load in zip(daily, back):
-        for name in ("g", "r", "l_ac", "l_fl", "c", "d", "e_fit",
-                     "e_dr", "e_as"):
-            np.testing.assert_array_equal(getattr(load, name),
-                                          getattr(orig, name))
-        np.testing.assert_array_equal(load.trades["u02"],
-                                      orig.trades["u02"])
-        assert load.peak == orig.peak
+    with open(path, newline="") as fh:
+        rows = [[float(c) for c in row] for row in csv.reader(fh)
+                if row[0] != "day"]
+    assert len(rows) == 8
+    for day, orig in enumerate(daily):
+        for t in range(4):
+            want = [day, t] + [getattr(orig, name)[t] for name in (
+                "g", "r", "l_ac", "l_fl", "c", "d", "e_fit", "e_dr",
+                "e_as")] + [orig.peak, orig.trades["u02"][t]]
+            assert rows[4 * day + t] == want
 
 
 def test_comparison_table_and_reduction_rule(tmp_path):

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from conftest import toy_profile, toy_tariff
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qp_oracle import brute_force_qp, random_bounded_qp
 from vppsim import qp
+from vppsim.agent import build_co_primal
 from vppsim.qp import (INFEASIBLE, MAX_ITER, OPTIMAL, UNBOUNDED, QpProblem,
                        QpSettings, QpSolution, QpSolver, kkt_residuals,
                        solve_qp)
@@ -73,6 +76,7 @@ def test_kkt_residuals_match_a_per_row_reference():
     for _ in range(20):
         prob = random_bounded_qp(rng)
         A, lo, hi = prob.rows
+        A = A.toarray()
         lo = np.where(rng.random(lo.size) < 0.2, -np.inf, lo)
         prob = QpProblem(n=prob.n, quad=prob.quad, lin=prob.lin,
                          rows=(A, lo, hi))
@@ -96,6 +100,70 @@ def test_kkt_residuals_match_a_per_row_reference():
         assert res["primal"] == pytest.approx(primal, rel=1e-12)
         assert res["comp"] == pytest.approx(comp, rel=1e-12)
         assert res["dual"] == np.max(np.abs(grad))
+
+
+def _primal_certificate_per_row(solver, dy):
+    # the row-by-row form of QpSolver._primal_certificate
+    nd = np.max(np.abs(dy), initial=0.0)
+    if nd <= 1e-14:
+        return False
+    eps = qp.INF_TOL * nd
+    if np.max(np.abs(solver.M.T @ dy), initial=0.0) > eps:
+        return False
+    sup = 0.0
+    for i in range(solver.m):
+        p, m_ = max(dy[i], 0.0), min(dy[i], 0.0)
+        if p > eps and not np.isfinite(solver.u[i]):
+            return False
+        if m_ < -eps and not np.isfinite(solver.l[i]):
+            return False
+        sup += (solver.u[i] * p if p > eps else 0.0)
+        sup += (solver.l[i] * m_ if m_ < -eps else 0.0)
+    return sup <= -eps
+
+
+def test_primal_certificate_matches_a_per_row_reference():
+    # dy in the left null space of A passes the A' dy test, so the bound
+    # terms decide; rows are boxed around -beta * dy, which makes the
+    # system infeasible for large beta, and some rows lose one or both
+    # sides to infinity
+    rng = np.random.default_rng(9)
+    outcomes = []
+    for _ in range(200):
+        n, m = 3, 8
+        A = rng.normal(size=(m, n))
+        dy = scipy.linalg.null_space(A.T) @ rng.normal(size=m - n)
+        center = -rng.uniform(0.0, 2.0) * dy
+        width = rng.uniform(0.05, 0.5, m)
+        lo, hi = center - width, center + width
+        lo[rng.random(m) < 0.1] = -np.inf
+        hi[rng.random(m) < 0.1] = np.inf
+        solver = QpSolver(QpProblem(n=n, quad=np.eye(n), lin=np.zeros(n),
+                                    rows=(A, lo, hi)))
+        want = _primal_certificate_per_row(solver, dy)
+        assert solver._primal_certificate(dy) == want
+        outcomes.append(want)
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_dense_and_sparse_data_solve_identically():
+    # the same problem handed over as CSR (from the builder) and as dense
+    # arrays: one internal form, so bit-identical iterates
+    p = toy_profile("ub", H=4, renewable=[0.0, 1.5, 2.0, 0.5],
+                    inflexible=[0.8, 0.3, 0.4, 1.1], flex_total=1.0,
+                    capacity=5.0, t_out=[24.0, 27.0, 29.0, 26.0])
+    built, _ = build_co_primal(p, toy_tariff(4), ["ua"], 1.5, trade_cap=4.0)
+    rng = np.random.default_rng(13)
+    for sparse in (built, random_bounded_qp(rng)):
+        A, lo, hi = sparse.rows
+        dense = QpProblem(n=sparse.n, quad=sparse.quad.toarray(),
+                          lin=sparse.lin, rows=(A.toarray(), lo, hi),
+                          const=sparse.const)
+        a, b = solve_qp(sparse), solve_qp(dense)
+        assert a.status == b.status == OPTIMAL
+        assert a.iterations == b.iterations
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.y.tobytes() == b.y.tobytes()
 
 
 def test_iteration_budget_returns_best_iterate(monkeypatch):
