@@ -246,10 +246,10 @@ def _user_block(p: UserProfile, tariff: Tariff, lay: Layout,
     for name, lo, hi in bounds:
         for t in range(H):
             rows.add([idx[name][t]], [1.0], lo[t], hi[t])
-    # temperature window on the affine response
-    for t in range(H):
-        cols = idx["l_ac"]
-        rows.add(cols, MT[t], p.ac.t_min - T0[t], p.ac.t_max - T0[t])
+    # temperature window on the affine response; MT[0] is zero, so the
+    # first slot's window is the bound _check_buildable already enforced
+    for t in range(1, H):
+        rows.add(idx["l_ac"], MT[t], p.ac.t_min - T0[t], p.ac.t_max - T0[t])
     # battery level window on the cumulative response
     for t in range(H):
         cols = np.concatenate([idx["c"], idx["d"]])

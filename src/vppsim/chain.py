@@ -1,13 +1,14 @@
 """Simulated proof-of-authority ledger hosting the coordination contract.
 
-The chain is a deterministic state machine: a committee of named
-authorities takes turns producing blocks, each block drains the pending
-transaction pool in (sender, nonce) order, and every state transition is
-a pure function of the parent state and the ordered transactions.  The
-contract storage holds the trading coordination state (trades, auxiliary
-trades, multipliers, round counter) plus token balances, and its digest
-is committed in each block as the state root, so the whole history can
-be replayed and byte-checked from the log alone.
+The chain is a deterministic state machine: a fixed list of named
+authorities, set at genesis, takes turns producing blocks, each block
+drains the pending transaction pool in (sender, nonce) order, and
+`apply_tx` is the only state transition, a pure function of the parent
+state and one ordered transaction.  The contract storage holds the
+trading coordination state (trades, auxiliary trades, multipliers, round
+counter) plus token balances, and its digest is committed in each block
+as the state root, so the whole history can be replayed and byte-checked
+from the log alone.
 
 There is no cryptography here beyond content digests: sender identity is
 taken at face value, which is the appropriate level of fidelity for a
@@ -38,7 +39,10 @@ TX_KINDS = (TX_SERVICE, TX_TRADING, TX_TRANSFER)
 
 RECORD_GENESIS = "genesis"
 RECORD_BLOCK = "block"
-RECORD_COMMITTEE = "committee"
+
+OPERATOR = "operator"
+OPERATOR_BALANCE = 1e6
+USER_BALANCE = 100.0
 
 
 class ChainError(Exception):
@@ -53,12 +57,18 @@ class ProposerError(ChainError):
     """Block production attempted by a node that is not scheduled."""
 
 
-class VoteError(ChainError):
-    """Malformed or unauthorized committee membership proposal."""
-
-
 class ContractError(ChainError):
     """Contract function precondition violated."""
+
+
+class TxFailed(ContractError):
+    """A pooled transaction failed to apply and was dropped from the pool."""
+
+    def __init__(self, tx, detail):
+        self.sender = tx.sender
+        self.nonce = tx.nonce
+        super().__init__(
+            f"transaction {tx.sender}:{tx.nonce} dropped: {detail}")
 
 
 class SettlementError(ChainError):
@@ -70,7 +80,6 @@ class CorruptionError(ChainError):
 
     def __init__(self, height, detail):
         self.height = height
-        self.detail = detail
         where = "genesis" if height is None else f"block {height}"
         super().__init__(f"chain log corrupt at {where}: {detail}")
 
@@ -184,13 +193,6 @@ def _block_digest(height, parent, proposer, txids, state_root) -> str:
                    "txids": list(txids), "state_root": state_root})
 
 
-def seal_block(height, parent, proposer, txs, state_root) -> Block:
-    d = _block_digest(height, parent, proposer,
-                      [t.txid for t in txs], state_root)
-    return Block(height=height, parent=parent, proposer=proposer,
-                 txs=tuple(txs), state_root=state_root, digest=d)
-
-
 # ---------------------------------------------------------------------------
 # contract storage
 # ---------------------------------------------------------------------------
@@ -204,10 +206,10 @@ def _pair_layout(users):
 class ContractState:
     """Coordination contract storage plus token accounts.
 
-    Exposes the three contract entry points through call(): set_trading,
-    compute_dual, read_dual.  compute_dual applies the coordination
-    module's pure `step`, so the on-chain arithmetic is the same float64
-    arithmetic as the in-process loop, down to the last bit.
+    The three contract functions are set_trading, compute_dual and
+    read_dual.  compute_dual applies the coordination module's pure
+    `step`, so the on-chain arithmetic is the same float64 arithmetic as
+    the in-process loop, down to the last bit.
     """
 
     def __init__(self, users, horizon: int, rho: float, balances: dict):
@@ -228,16 +230,7 @@ class ContractState:
 
     # -- the three contract functions ------------------------------------
 
-    def call(self, fn: str, **kwargs):
-        if fn == "set_trading":
-            return self._set_trading(**kwargs)
-        if fn == "compute_dual":
-            return self._compute_dual(**kwargs)
-        if fn == "read_dual":
-            return self._read_dual(**kwargs)
-        raise ContractError(f"unknown contract function {fn!r}")
-
-    def _set_trading(self, user: str, trades: dict):
+    def set_trading(self, user: str, trades: dict):
         if user not in self.users:
             raise ContractError(f"unknown user {user!r}")
         if user in self.submitted:
@@ -257,7 +250,7 @@ class ContractState:
             self.trades[i, self.users.index(v)] = vec
         self.submitted.add(user)
 
-    def _compute_dual(self):
+    def compute_dual(self):
         missing = sorted(set(self.users) - self.submitted)
         if missing:
             raise ContractError(
@@ -266,9 +259,8 @@ class ContractState:
         nxt = step(self.dual(), self.trades)
         self.aux, self.mult, self.round = nxt.aux, nxt.mult, nxt.iteration
         self.submitted = set()
-        return self.round
 
-    def _read_dual(self, user: str) -> DualSlice:
+    def read_dual(self, user: str) -> DualSlice:
         if user not in self.users:
             raise ContractError(f"unknown user {user!r}")
         return self.dual().slice_for(user)
@@ -325,21 +317,18 @@ def apply_tx(state: ContractState, tx: Transaction):
     ordered transactions and replays identically.
     """
     if tx.kind == TX_SERVICE:
-        state.services[tx.sender] = {
-            "e_fit": np.asarray(tx.payload["e_fit"], float),
-            "e_dr": np.asarray(tx.payload["e_dr"], float),
-            "e_as": np.asarray(tx.payload["e_as"], float)}
+        state.services[tx.sender] = {k: np.asarray(v, float)
+                                     for k, v in tx.payload.items()}
     elif tx.kind == TX_TRADING:
-        state.call("set_trading", user=tx.payload["user"],
-                   trades=tx.payload["trades"])
+        state.set_trading(tx.payload["user"], tx.payload["trades"])
         if state.submitted == set(state.users):
-            state.call("compute_dual")
+            state.compute_dual()
     elif tx.kind == TX_TRANSFER:
         src = tx.payload["from"]
         dst = tx.payload["to"]
         amount = float(tx.payload["amount"])
         if state.balances.get(src, 0.0) < amount:
-            raise ChainError(
+            raise ContractError(
                 f"transfer of {amount} overdraws account {src!r}")
         state.balances[src] = state.balances.get(src, 0.0) - amount
         state.balances[dst] = state.balances.get(dst, 0.0) + amount
@@ -354,40 +343,36 @@ def apply_tx(state: ContractState, tx: Transaction):
 class Chain:
     """Proof-of-authority chain with round-robin block production.
 
-    Authorities rotate as proposers by height.  Committee changes pass by
-    strict majority vote and take effect atomically at the next block
-    boundary, before the proposer check.  All record types (genesis,
-    committee changes, blocks) append to an in-memory log that save_log
+    The authorities are fixed at genesis and take turns as proposers by
+    height.  State changes only by `apply_tx`: a block applies the
+    pooled transactions to a copy of the committed state, and settlement
+    checks its batch the same way before submitting it.  The genesis
+    record and the blocks append to an in-memory log that save_log
     persists as length-prefixed canonical JSON.
     """
 
-    def __init__(self, users, authorities, horizon: int, rho: float = 1.0,
-                 operator: str = "operator", operator_balance: float = 1e6,
-                 user_balance: float = 100.0):
+    def __init__(self, users, authorities, horizon: int, rho: float = 1.0):
         users = sorted(users)
         authorities = list(authorities)
         if not authorities:
-            raise ChainError("authority committee cannot be empty")
+            raise ChainError("authority list cannot be empty")
         if len(set(authorities)) != len(authorities):
             raise ChainError("duplicate authority ids")
-        if operator in users:
+        if OPERATOR in users:
             raise ChainError("operator account cannot also be a user")
-        balances = {operator: float(operator_balance)}
-        for u in users:
-            balances[u] = float(user_balance)
-        self.operator = operator
+        balances = {OPERATOR: OPERATOR_BALANCE,
+                    **dict.fromkeys(users, USER_BALANCE)}
         self._state = ContractState(users, horizon, rho, balances)
-        self._accounts = set(users) | {operator}
+        self._accounts = set(users) | {OPERATOR}
         self._nonces: dict[str, int] = {}
-        self._committee = list(authorities)
-        self._target = list(authorities)
+        self._authorities = tuple(authorities)
         self._pool: list[Transaction] = []
         self._lock = threading.Lock()
         self.blocks: list[Block] = []
         self.records: list[dict] = [{
             "type": RECORD_GENESIS,
-            "authorities": list(authorities),
-            "operator": operator,
+            "authorities": authorities,
+            "operator": OPERATOR,
             "state": self._state.payload(),
             "state_root": self._state.root(),
         }]
@@ -397,9 +382,6 @@ class Chain:
     @property
     def height(self) -> int:
         return len(self.blocks)
-
-    def authorities(self) -> tuple:
-        return tuple(self._committee)
 
     def state(self) -> ContractState:
         """Snapshot of committed contract storage."""
@@ -412,15 +394,14 @@ class Chain:
             raise ContractError(
                 f"{fn} mutates state and must go through transactions")
         with self._lock:
-            return self._state.call(fn, **kwargs)
+            return self._state.read_dual(**kwargs)
 
     def tip(self) -> str:
         return self.blocks[-1].digest if self.blocks \
             else self.records[0]["state_root"]
 
     def scheduled_proposer(self) -> str:
-        committee = self._target
-        return committee[self.height % len(committee)]
+        return self._authorities[self.height % len(self._authorities)]
 
     def next_nonce(self, sender: str) -> int:
         return self._nonces.get(sender, -1) + 1
@@ -460,31 +441,34 @@ class Chain:
                 raise TxRejected("malformed trading payload")
             if p["user"] != tx.sender:
                 raise TxRejected("trading user must be the sender")
-            for vec in p["trades"].values():
-                if len(vec) != self._state.horizon:
-                    raise TxRejected("trade vector length mismatch")
-                if not all(np.isfinite(x) for x in vec):
-                    raise TxRejected("non-finite trade value")
+            peers = [u for u in self._state.users if u != tx.sender]
+            if tx.sender not in self._state.users \
+                    or sorted(p["trades"]) != peers:
+                raise TxRejected(
+                    f"trades of {tx.sender} must cover exactly {peers}")
+            self._check_vectors("trade vector to", p["trades"])
         elif tx.kind == TX_SERVICE:
             if set(p) != {"e_fit", "e_dr", "e_as"}:
                 raise TxRejected("malformed service payload")
             if tx.sender not in self._state.users:
                 raise TxRejected("service sender is not a user")
-            for key in ("e_fit", "e_dr", "e_as"):
-                if len(p[key]) != self._state.horizon:
-                    raise TxRejected(f"{key} length mismatch")
-                if not all(np.isfinite(x) for x in p[key]):
-                    raise TxRejected(f"non-finite value in {key}")
+            self._check_vectors("service vector", p)
+
+    def _check_vectors(self, what: str, vectors: dict):
+        H = self._state.horizon
+        for key, vec in vectors.items():
+            if len(vec) != H or not np.all(np.isfinite(vec)):
+                raise TxRejected(f"{what} {key} must hold {H} finite values")
 
     def produce_block(self, proposer: str) -> Block:
+        """Seal the pool into the next block.
+
+        A transaction that fails to apply leaves the pool and raises
+        TxFailed; nothing is committed, and the next block seals the
+        rest of the pool.
+        """
         with self._lock:
-            if self._target != self._committee:
-                self._committee = list(self._target)
-                self.records.append({
-                    "type": RECORD_COMMITTEE,
-                    "height": self.height,
-                    "authorities": list(self._committee)})
-            scheduled = self._committee[self.height % len(self._committee)]
+            scheduled = self.scheduled_proposer()
             if proposer != scheduled:
                 raise ProposerError(
                     f"proposer for height {self.height} is {scheduled!r}, "
@@ -492,58 +476,32 @@ class Chain:
             txs = sorted(self._pool, key=lambda t: (t.sender, t.nonce))
             work = self._state.copy()
             for tx in txs:
-                apply_tx(work, tx)
-            block = seal_block(self.height, self.tip(), proposer, txs,
-                               work.root())
+                try:
+                    apply_tx(work, tx)
+                except ContractError as exc:
+                    self._pool.remove(tx)
+                    raise TxFailed(tx, exc) from exc
+            root, parent = work.root(), self.tip()
+            block = Block(self.height, parent, proposer, tuple(txs), root,
+                          _block_digest(self.height, parent, proposer,
+                                        [t.txid for t in txs], root))
             self._state = work
             self._pool = []
             self.blocks.append(block)
             self.records.append(block.to_record())
             return block
 
-    def vote_membership(self, action: str, node: str, proposed_by: str,
-                        votes: dict) -> bool:
-        """Strict-majority committee change, queued to the next boundary."""
-        with self._lock:
-            if proposed_by not in self._target:
-                raise VoteError(
-                    f"{proposed_by!r} is not an authority and cannot "
-                    "propose membership changes")
-            if action == "add":
-                if node in self._target:
-                    raise VoteError(f"{node!r} is already an authority")
-            elif action == "remove":
-                if node not in self._target:
-                    raise VoteError(f"{node!r} is not an authority")
-                if len(self._target) == 1:
-                    raise VoteError("cannot remove the last authority")
-            else:
-                raise VoteError(f"unknown membership action {action!r}")
-            yes = sum(1 for a, v in votes.items()
-                      if v and a in self._target)
-            passed = yes > len(self._target) / 2
-            if passed:
-                if action == "add":
-                    self._target = self._target + [node]
-                else:
-                    self._target = [a for a in self._target if a != node]
-            return passed
-
     # -- settlement -------------------------------------------------------
 
-    def settle(self, schedules: dict, tariff: Tariff,
-               operator: str | None = None) -> list:
+    def settle(self, schedules: dict, tariff: Tariff) -> list:
         """Pay out converged schedules in tokens, atomically.
 
         One transfer per unordered trading pair (buyer pays seller the
         net peer-to-peer bill) plus one operator payment per user for
         feed-in, demand-response and ancillary-service rewards.  The
-        whole batch is simulated against committed balances first; if
-        any account would overdraw, nothing is submitted.
+        whole batch is applied to a copy of the committed state first;
+        if any transfer fails, nothing is submitted.
         """
-        operator = operator or self.operator
-        if operator not in self._accounts:
-            raise SettlementError(f"unknown operator account {operator!r}")
         planned: list[tuple] = []
         for u in sorted(schedules):
             s: Schedule = schedules[u]
@@ -552,16 +510,14 @@ class Chain:
                 + np.dot(np.asarray(tariff.pi_dr, float), s.e_dr)
                 + np.dot(np.asarray(tariff.pi_as, float), s.e_as))
             if reward != 0.0:
-                planned.append((operator, u, reward))
+                planned.append((OPERATOR, u, reward))
         users = sorted(schedules)
         for i, u in enumerate(users):
             for v in users[i + 1:]:
                 p_uv = np.asarray(schedules[u].trades.get(v, ()), float)
                 p_vu = np.asarray(schedules[v].trades.get(u, ()), float)
-                bought = float(np.sum(np.maximum(p_uv, 0.0))) if p_uv.size \
-                    else 0.0
-                sold = float(np.sum(np.maximum(p_vu, 0.0))) if p_vu.size \
-                    else 0.0
+                bought = float(np.sum(np.maximum(p_uv, 0.0)))
+                sold = float(np.sum(np.maximum(p_vu, 0.0)))
                 net = tariff.pi_p2p * (bought - sold)
                 if net > 0.0:
                     planned.append((u, v, net))
@@ -576,17 +532,13 @@ class Chain:
                 nonce = nonces.get(src, -1) + 1
                 nonces[src] = nonce
                 txs.append(transfer_tx(src, nonce, dst, amount))
-            trial = dict(self._state.balances)
+            trial = self._state.copy()
             for tx in sorted(txs, key=lambda t: (t.sender, t.nonce)):
-                src = tx.payload["from"]
-                amount = tx.payload["amount"]
-                trial[src] = trial.get(src, 0.0) - amount
-                if trial[src] < 0.0:
+                try:
+                    apply_tx(trial, tx)
+                except ContractError as exc:
                     raise SettlementError(
-                        f"account {src!r} short by {-trial[src]:.6g} "
-                        "tokens; settlement aborted")
-                dst = tx.payload["to"]
-                trial[dst] = trial.get(dst, 0.0) + amount
+                        f"{exc}; settlement aborted") from exc
         for tx in txs:
             self.submit_tx(tx)
         self.produce_block(self.scheduled_proposer())
@@ -649,18 +601,12 @@ def replay(source) -> ContractState:
         state = ContractState.from_payload(genesis["state"])
         if state.root() != genesis["state_root"]:
             raise CorruptionError(None, "genesis state root mismatch")
-        committee = list(genesis["authorities"])
+        authorities = list(genesis["authorities"])
         parent = genesis["state_root"]
     height = 0
     for record in records[1:]:
         with _reading(height):
             kind = record.get("type")
-            if kind == RECORD_COMMITTEE:
-                if record["height"] != height:
-                    raise CorruptionError(
-                        height, "committee change at unexpected height")
-                committee = list(record["authorities"])
-                continue
             if kind != RECORD_BLOCK:
                 raise CorruptionError(height,
                                       f"unknown record type {kind!r}")
@@ -670,7 +616,7 @@ def replay(source) -> ContractState:
                     f"expected height {height}, found {record['height']}")
             if record["parent"] != parent:
                 raise CorruptionError(height, "parent digest mismatch")
-            expected = committee[height % len(committee)]
+            expected = authorities[height % len(authorities)]
             if record["proposer"] != expected:
                 raise CorruptionError(
                     height, f"proposer {record['proposer']!r} is not the "
@@ -681,7 +627,6 @@ def replay(source) -> ContractState:
                                      tx.payload):
                     raise CorruptionError(height, "transaction id mismatch "
                                           f"for {tx.sender}:{tx.nonce}")
-            for tx in txs:
                 apply_tx(state, tx)
             root = state.root()
             if root != record["state_root"]:
@@ -702,16 +647,14 @@ def dump_text(source) -> str:
     """
     records = load_log(source) if not isinstance(source, list) else source
     lines = []
-    height = None
-    for record in records:
+    for i, record in enumerate(records):
+        height = i - 1 if i else None
         with _reading(height):
-            lines += _record_lines(record)
-        if height is None or record.get("type") == RECORD_BLOCK:
-            height = 0 if height is None else height + 1
+            lines += _record_lines(record, height)
     return "\n".join(lines) + "\n"
 
 
-def _record_lines(record: dict) -> list:
+def _record_lines(record: dict, height) -> list:
     kind = record.get("type")
     lines = []
     if kind == RECORD_GENESIS:
@@ -725,9 +668,6 @@ def _record_lines(record: dict) -> list:
         for acct, bal in sorted(state["balances"].items()):
             lines.append(f"  balance    {acct:<12} {bal}")
         lines.append(f"  state_root {record['state_root']}")
-    elif kind == RECORD_COMMITTEE:
-        lines.append(f"committee change before block {record['height']}")
-        lines.append(f"  authorities {' '.join(record['authorities'])}")
     elif kind == RECORD_BLOCK:
         lines.append(f"block {record['height']}  "
                      f"proposer {record['proposer']}  "
@@ -739,7 +679,7 @@ def _record_lines(record: dict) -> list:
         lines.append(f"  state_root {record['state_root']}")
         lines.append(f"  digest     {record['digest']}")
     else:
-        lines.append(f"unknown record type {kind!r}")
+        raise CorruptionError(height, f"unknown record type {kind!r}")
     return lines
 
 

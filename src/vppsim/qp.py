@@ -455,12 +455,6 @@ class QpSolver:
                 sol.status = OPTIMAL
 
 
-def solve_qp(problem: QpProblem,
-             settings: QpSettings | None = None) -> QpSolution:
-    """One-shot solve; see QpSolver for the reusable form."""
-    return QpSolver(problem, settings).solve()
-
-
 # ---------------------------------------------------------------------------
 # KKT residuals
 # ---------------------------------------------------------------------------

@@ -510,14 +510,3 @@ def _write_schedule_file(path, daily):
                 row.append(repr(float(s.peak)))
                 row += [repr(float(s.trades[v][t])) for v in peers]
                 writer.writerow(row)
-
-
-def read_comparison(path) -> list:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != COMPARISON_COLUMNS:
-            raise ScenarioError(f"{path}: unexpected comparison header")
-        return [{"user": row[0], "sa_total": float(row[1]),
-                 "co_total": float(row[2]), "reduction_pct": float(row[3])}
-                for row in reader if row]

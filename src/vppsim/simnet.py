@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import Chain, digest, service_tx, trading_tx
-from .coordinator import AlgoConfig, DualState, LocalTransport, stack_trades
+from .chain import OPERATOR, Chain, digest, service_tx, trading_tx
+from .coordinator import AlgoConfig, DualState, LocalTransport
 from .model import Tariff
 
 
@@ -93,7 +93,6 @@ def write_events(events, path):
 
 @dataclass
 class RoundOutcome:
-    trades: np.ndarray
     block: object
     end_tick: int
 
@@ -127,7 +126,6 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
         seq += 1
     heapq.heappush(heap, (deadline, 1, seq, "timeout", ""))
     seq += 1
-    rows = {}
     arrived = set()
     last_arrival = start_tick
     while heap:
@@ -148,26 +146,25 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
             chain.submit_tx(tx)
             arrived.add(u)
             last_arrival = max(last_arrival, tick)
-            rows[u] = tx.payload["trades"]
             log.append(EventRecord(tick, "arrive", u, tx.txid))
         elif kind == "timeout":
             missing = sorted(set(agents) - arrived)
             if missing:
                 raise RoundTimeout(missing[0], deadline)
-    trades = stack_trades(state.users, state.horizon, rows)
     block = chain.produce_block(chain.scheduled_proposer())
     log.append(EventRecord(last_arrival, "block", block.proposer,
                            block.digest))
-    return RoundOutcome(trades=trades, block=block, end_tick=last_arrival)
+    return RoundOutcome(block=block, end_tick=last_arrival)
 
 
 class ChainTransport(LocalTransport):
     """Message channel for the trading loop that routes through the chain.
 
     Drop-in replacement for the in-process transport, with the same
-    agents: each exchange runs one simulated network round, and the next
-    dual state is the one the contract committed with that round's
-    block, so the chain is the only place the coordination update runs.
+    agents: each exchange runs one simulated network round, and both the
+    trades and the next dual state are read from the contract state
+    committed with that round's block, so the chain is the only place
+    the coordination update runs.
     """
 
     def __init__(self, profiles, tariff: Tariff, cfg: AlgoConfig,
@@ -193,7 +190,8 @@ class ChainTransport(LocalTransport):
                             self.net, self.rng, start_tick=self.tick,
                             events=self.events)
         self.tick = outcome.end_tick + 1
-        return outcome.trades, self.chain.state().dual()
+        committed = self.chain.state()
+        return committed.trades, committed.dual()
 
     # -- post-convergence -------------------------------------------------
 
@@ -214,8 +212,7 @@ class ChainTransport(LocalTransport):
                                        block.digest))
         transfers = self.chain.settle(schedules, tariff)
         ref = self.chain.blocks[-1].digest if transfers else "none"
-        self.events.append(EventRecord(last + 1, "settle",
-                                       self.chain.operator, ref))
+        self.events.append(EventRecord(last + 1, "settle", OPERATOR, ref))
         self.tick = last + 2
         return transfers
 

@@ -1,10 +1,13 @@
 """Shared builders for small household instances used across the suite."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from vppsim.model import (AcParams, BatteryParams, ExogenousSeries,
                           FlexParams, Tariff, UserProfile)
+from vppsim.scenario_io import COMPARISON_COLUMNS
 
 
 def toy_tariff(H, alpha=1.0, beta=2.5, pi_p2p=0.6, pi_fit=0.25,
@@ -52,3 +55,12 @@ def surplus_pair(H=4):
 @pytest.fixture
 def pair_tariff():
     return toy_tariff(4)
+
+
+def read_comparison(path) -> list:
+    """Rows of a written comparison.csv, the cost columns as floats."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames) == COMPARISON_COLUMNS
+        return [{k: v if k == "user" else float(v) for k, v in row.items()}
+                for row in reader]

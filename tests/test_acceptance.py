@@ -20,7 +20,7 @@ from vppsim.experiment import (centralized_day, day_profile, day_tariff,
                                run_compare, run_co, run_sa)
 from vppsim.model import (CO, InvalidInput, Schedule, check_feasibility,
                           cost_breakdown)
-from vppsim.qp import OPTIMAL, kkt_residuals, solve_qp
+from vppsim.qp import OPTIMAL, QpSolver, kkt_residuals
 from vppsim.scenario_io import gen_synthetic
 
 SURVEY_SEEDS = range(20)
@@ -163,7 +163,7 @@ def test_criterion_6_solver_agrees_with_brute_force():
         rng = np.random.default_rng(seed)
         prob = random_bounded_qp(rng)
         ref_obj, _ = brute_force_qp(prob)
-        sol = solve_qp(prob)
+        sol = QpSolver(prob).solve()
         assert sol.status == OPTIMAL, f"seed {seed}: {sol.status}"
         worst_rel = max(worst_rel, abs(sol.objective - ref_obj)
                         / max(1.0, abs(ref_obj)))
@@ -200,8 +200,8 @@ def test_criterion_7_the_ledger_replays_deterministically(tmp_path,
         rows = {u: {v: rng.normal(size=H) for v in users if v != u}
                 for u in users}
         for u in users:
-            contract.call("set_trading", user=u, trades=rows[u])
-        contract.call("compute_dual")
+            contract.set_trading(u, rows[u])
+        contract.compute_dual()
         trades = stack_trades(users, H, rows)
         aux = dual_update(trades, mirror)
         mult = lambda_update(mirror, aux, trades)

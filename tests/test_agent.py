@@ -14,7 +14,7 @@ from vppsim.agent import (AgentRuntime, BuildError, DecodeError, DualSlice,
 from vppsim.model import (CO, SA, InvalidInput, battery_trajectory,
                           check_feasibility, cost_breakdown,
                           thermal_trajectory)
-from vppsim.qp import QpProblem, solve_qp
+from vppsim.qp import QpProblem, QpSolver
 
 
 def test_layout_sizes_and_slices():
@@ -52,7 +52,7 @@ def test_stand_alone_surplus_feeds_the_grid():
     p = toy_profile(H=2, renewable=1.0)
     tariff = toy_tariff(2, pi_fit=0.1)
     prob, lay = build_sa_problem(p, tariff)
-    sched = decode(solve_qp(prob), lay)
+    sched = decode(QpSolver(prob).solve(), lay)
     assert not check_feasibility(sched, p, tariff, SA).violations
     np.testing.assert_allclose(sched.e_fit, [1.0, 1.0], atol=1e-6)
     total = cost_breakdown(sched, p, tariff, SA).total
@@ -66,7 +66,7 @@ def test_stand_alone_grid_covers_bare_load():
                     omega_ba=0.0)
     tariff = toy_tariff(3, alpha=1.0, beta=2.0, pi_fit=0.0)
     prob, lay = build_sa_problem(p, tariff)
-    sol = solve_qp(prob)
+    sol = QpSolver(prob).solve()
     sched = decode(sol, lay)
     np.testing.assert_allclose(sched.g, [1.0, 1.0, 1.0], atol=1e-6)
     assert cost_breakdown(sched, p, tariff, SA).total == pytest.approx(
@@ -77,7 +77,7 @@ def test_peak_variable_sits_on_the_largest_import():
     p = toy_profile(H=4, inflexible=np.array([0.5, 2.0, 1.0, 0.2]))
     tariff = toy_tariff(4)
     prob, lay = build_sa_problem(p, tariff)
-    sched = decode(solve_qp(prob), lay)
+    sched = decode(QpSolver(prob).solve(), lay)
     assert sched.peak == pytest.approx(float(np.max(sched.g)), abs=1e-6)
 
 
@@ -103,8 +103,9 @@ def _digest(prob):
 def test_built_problems_are_pinned():
     # Digests of quad, lin and the constraint system as dense arrays,
     # taken from the earlier dense assembly with its negative zeros made
-    # positive (a sparse matrix stores no zeros); any reordered row or
-    # changed coefficient fails.
+    # positive (a sparse matrix stores no zeros) and its all-zero
+    # first-slot temperature row deleted; any reordered row or changed
+    # coefficient fails.
     p = toy_profile("ub", H=4, renewable=[0.0, 1.5, 2.0, 0.5],
                     inflexible=[0.8, 0.3, 0.4, 1.1], flex_total=1.0,
                     capacity=5.0, t_out=[24.0, 27.0, 29.0, 26.0])
@@ -112,11 +113,11 @@ def test_built_problems_are_pinned():
                         pi_as=[0.05, 0.0, 0.0, 0.05])
     sa, _ = build_sa_problem(p, tariff)
     co, _ = build_co_primal(p, tariff, ["uc", "ua"], 1.5, trade_cap=4.0)
-    assert co.rows[0].shape == (73, 45)
-    assert _digest(sa) == ("734973a67b4300d85521c2c52a84f15d"
-                           "84955a5c4b1e749b1ccf73f1d6a5ab4c")
-    assert _digest(co) == ("a67a8be04a1ee36040b53cf5c110fb9f"
-                           "8380838f831ca7109d4fe09dc12e4701")
+    assert co.rows[0].shape == (72, 45)
+    assert _digest(sa) == ("5df6a48cfaafa4c4815ca004be6f32b7"
+                           "1913e6ed08b5dc1f5a82c7c603940c12")
+    assert _digest(co) == ("1d2724dad4442194eab741768c5e3b17"
+                           "f58633cf2e7d7278e8ce769b01d40f38")
     assert sa.const == co.const == 0.598512224965009
 
 
@@ -139,7 +140,7 @@ def test_identical_households_do_not_trade():
     b = toy_profile("u2", H=2, inflexible=1.0)
     tariff = toy_tariff(2)
     prob, lays = build_centralized([a, b], tariff)
-    scheds = decode_all(solve_qp(prob), lays)
+    scheds = decode_all(QpSolver(prob).solve(), lays)
     for s in scheds.values():
         for vec in s.trades.values():
             assert np.max(np.abs(vec)) <= 1e-6
@@ -149,7 +150,7 @@ def test_surplus_flows_to_the_neighbor():
     a, b = surplus_pair(H=1)
     tariff = toy_tariff(1, pi_fit=0.1)
     prob, lays = build_centralized([a, b], tariff)
-    sol = solve_qp(prob)
+    sol = QpSolver(prob).solve()
     scheds = decode_all(sol, lays)
     np.testing.assert_allclose(scheds["ua"].trades["ub"], [-1.0], atol=1e-6)
     np.testing.assert_allclose(scheds["ub"].trades["ua"], [1.0], atol=1e-6)
@@ -160,7 +161,7 @@ def test_centralized_objective_equals_summed_breakdowns():
     profiles = surplus_pair(H=4)
     tariff = toy_tariff(4, pi_fit=0.1)
     prob, lays = build_centralized(profiles, tariff)
-    sol = solve_qp(prob)
+    sol = QpSolver(prob).solve()
     scheds = decode_all(sol, lays)
     total = sum(cost_breakdown(scheds[p.user_id], p, tariff, CO).total
                 for p in profiles)
@@ -180,10 +181,10 @@ def test_cooperation_never_costs_more_than_standing_alone():
         sa_total = 0.0
         for p in profiles:
             prob, lay = build_sa_problem(p, tariff)
-            sa_total += cost_breakdown(decode(solve_qp(prob), lay), p,
+            sa_total += cost_breakdown(decode(QpSolver(prob).solve(), lay), p,
                                        tariff, SA).total
         prob, lays = build_centralized(profiles, tariff)
-        co_total = solve_qp(prob).objective
+        co_total = QpSolver(prob).solve().objective
         assert co_total <= sa_total + 1e-6 * max(1.0, abs(sa_total))
 
 
@@ -191,7 +192,7 @@ def test_decode_refuses_failed_solves():
     bad = QpProblem(n=1, quad=np.zeros((1, 1)), lin=np.zeros(1),
                     rows=(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]),
                           np.array([0.0, 1.0])))
-    sol = solve_qp(bad)
+    sol = QpSolver(bad).solve()
     with pytest.raises(DecodeError):
         decode(sol, Layout(horizon=1))
 
@@ -200,7 +201,7 @@ def test_decode_clamps_solver_dust_to_zero():
     p = toy_profile(H=2)
     tariff = toy_tariff(2)
     prob, lay = build_sa_problem(p, tariff)
-    sched = decode(solve_qp(prob), lay)
+    sched = decode(QpSolver(prob).solve(), lay)
     assert np.all(sched.g == 0.0)
     assert np.all(sched.e_fit == 0.0)
     assert sched.peak == 0.0

@@ -1,4 +1,4 @@
-"""Ledger mechanics: transactions, blocks, votes, settlement, replay."""
+"""Ledger mechanics: transactions, blocks, settlement, replay."""
 
 import hashlib
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from vppsim.chain import (Chain, ChainError, ContractError, ContractState,
                           CorruptionError, ProposerError, SettlementError,
-                          Transaction, TxRejected, VoteError, _tx_id,
+                          Transaction, TxFailed, TxRejected, _tx_id,
                           canonical, digest, dump_text, load_log, make_tx,
                           pair_key, replay, service_tx, trading_tx,
                           transfer_tx)
@@ -154,6 +154,37 @@ def test_poison_batch_does_not_commit():
         chain.produce_block("a0")
     assert chain.height == 0
     assert chain.state().round == 0
+    # the duplicate left the pool; the first submission seals
+    block = chain.produce_block("a0")
+    assert [(tx.sender, tx.nonce) for tx in block.txs] == [("u", 0)]
+    assert chain.state().submitted == {"u"}
+
+
+def test_failed_transaction_leaves_the_pool():
+    chain = small_chain()
+    chain.submit_tx(transfer_tx("u", 0, "v", 500.0))
+    root = chain.state().root()
+    with pytest.raises(TxFailed) as err:
+        chain.produce_block("a0")
+    assert (err.value.sender, err.value.nonce) == ("u", 0)
+    assert "overdraws" in str(err.value)
+    assert chain.height == 0 and chain.state().root() == root
+    chain.submit_tx(transfer_tx("v", 0, "u", 1.0))
+    block = chain.produce_block("a0")
+    assert [(tx.sender, tx.nonce) for tx in block.txs] == [("v", 0)]
+    assert chain.state().balances["u"] == 101.0
+
+
+def test_trading_payload_must_cover_exactly_the_peers():
+    chain = Chain(["a", "b", "c"], ["a0"], 2)
+    z = [0.0, 0.0]
+    for trades in ({"b": z}, {"b": z, "c": z, "x": z}, {"a": z, "b": z}):
+        with pytest.raises(TxRejected):
+            chain.submit_tx(trading_tx("a", 0, trades))
+    with pytest.raises(TxRejected):
+        chain.submit_tx(trading_tx("operator", 0, {"a": z, "b": z, "c": z}))
+    chain.submit_tx(trading_tx("a", 0, {"b": z, "c": z}))
+    assert chain.next_nonce("a") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +218,8 @@ def test_contract_matches_coordinator_bit_for_bit():
         rows = {u: {v: rng.normal(size=H) for v in users if v != u}
                 for u in users}
         for u in users:
-            contract.call("set_trading", user=u, trades=rows[u])
-        contract.call("compute_dual")
+            contract.set_trading(u, rows[u])
+        contract.compute_dual()
         trades = stack_trades(users, H, rows)
         aux = dual_update(trades, mirror)
         mult = lambda_update(mirror, aux, trades)
@@ -235,9 +266,9 @@ def test_read_is_the_only_direct_contract_call():
 
 def test_incomplete_round_cannot_advance():
     contract = ContractState(["u", "v"], 2, 1.0, {})
-    contract.call("set_trading", user="u", trades={"v": [0.5, 0.0]})
+    contract.set_trading("u", {"v": [0.5, 0.0]})
     with pytest.raises(ContractError) as err:
-        contract.call("compute_dual")
+        contract.compute_dual()
     assert "v" in str(err.value)
 
 
@@ -248,60 +279,6 @@ def test_service_vectors_are_stored():
     state = chain.state()
     np.testing.assert_array_equal(state.services["u"]["e_fit"], [1.0, 0.0])
     np.testing.assert_array_equal(state.services["u"]["e_as"], [0.0, 2.0])
-
-
-# ---------------------------------------------------------------------------
-# committee membership
-# ---------------------------------------------------------------------------
-
-def test_majority_vote_changes_the_committee():
-    auths = [f"a{i}" for i in range(5)]
-    chain = Chain(["u", "v"], auths, 2)
-    votes = {"a0": True, "a1": True, "a2": True, "a3": False, "a4": False}
-    assert chain.vote_membership("add", "a5", "a0", votes)
-    chain.produce_block("a0")
-    assert chain.authorities() == tuple(auths + ["a5"])
-    assert any(r.get("type") == "committee" for r in chain.records)
-
-
-def test_minority_vote_changes_nothing():
-    auths = [f"a{i}" for i in range(4)]
-    chain = Chain(["u", "v"], auths, 2)
-    votes = {"a0": True, "a1": True, "a2": False, "a3": False}
-    assert not chain.vote_membership("remove", "a3", "a0", votes)
-    chain.produce_block("a0")
-    assert chain.authorities() == tuple(auths)
-
-
-def test_outsider_votes_do_not_count():
-    chain = Chain(["u", "v"], ["a0", "a1", "a2"], 2)
-    votes = {"a0": True, "x1": True, "x2": True}
-    assert not chain.vote_membership("add", "a3", "a0", votes)
-    with pytest.raises(VoteError):
-        chain.vote_membership("add", "a3", "x1", votes)
-
-
-def test_vote_guards():
-    chain = Chain(["u", "v"], ["a0"], 2)
-    with pytest.raises(VoteError):
-        chain.vote_membership("add", "a0", "a0", {"a0": True})
-    with pytest.raises(VoteError):
-        chain.vote_membership("remove", "a0", "a0", {"a0": True})
-    with pytest.raises(VoteError):
-        chain.vote_membership("grow", "a9", "a0", {"a0": True})
-
-
-def test_removal_reschedules_the_rotation():
-    chain = Chain(["u", "v"], ["a0", "a1", "a2"], 2)
-    chain.produce_block("a0")
-    votes = {"a0": True, "a2": True, "a1": False}
-    assert chain.vote_membership("remove", "a1", "a0", votes)
-    # committee is now [a0, a2]; height 1 falls to a2, not a1
-    assert chain.scheduled_proposer() == "a2"
-    with pytest.raises(ProposerError):
-        chain.produce_block("a1")
-    chain.produce_block("a2")
-    assert chain.authorities() == ("a0", "a2")
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +456,16 @@ def _tx_without_nonce(records):
     del records[1]["txs"][0]["nonce"]
 
 
+def _committee_record(records):
+    # the authorities are fixed at genesis; no chain writes this record
+    records.insert(2, {"type": "committee", "height": 1,
+                       "authorities": ["a0"]})
+
+
 @pytest.mark.parametrize("doctor, height", [
     (_list_record, 0), (_block_without_txs, 0),
-    (_genesis_without_state, None), (_tx_without_nonce, 0)])
+    (_genesis_without_state, None), (_tx_without_nonce, 0),
+    (_committee_record, 1)])
 def test_malformed_record_is_corruption_at_its_height(tmp_path, capsys,
                                                      doctor, height):
     chain = small_chain()

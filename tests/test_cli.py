@@ -3,9 +3,10 @@
 from dataclasses import replace
 
 import pytest
+from conftest import read_comparison
 
 from vppsim.cli import main
-from vppsim.scenario_io import gen_synthetic, read_comparison, write_scenario
+from vppsim.scenario_io import gen_synthetic, write_scenario
 
 
 @pytest.fixture(scope="module")

@@ -4,14 +4,15 @@ import csv
 
 import numpy as np
 import pytest
+from conftest import read_comparison
 
 from vppsim.coordinator import TraceRecord
 from vppsim.experiment import run_sa
 from vppsim.model import Schedule
 from vppsim.scenario_io import (COMPARISON_COLUMNS, ScenarioError,
                                 gen_synthetic, load_scenario,
-                                read_comparison, scenario_conf_text,
-                                write_results, write_scenario)
+                                scenario_conf_text, write_results,
+                                write_scenario)
 
 
 def scenario_bytes(root):

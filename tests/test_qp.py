@@ -11,15 +11,14 @@ from qp_oracle import brute_force_qp, random_bounded_qp
 from vppsim import qp
 from vppsim.agent import build_co_primal
 from vppsim.qp import (INFEASIBLE, MAX_ITER, OPTIMAL, UNBOUNDED, QpProblem,
-                       QpSettings, QpSolution, QpSolver, kkt_residuals,
-                       solve_qp)
+                       QpSettings, QpSolution, QpSolver, kkt_residuals)
 
 
 def test_active_bound_pins_the_minimizer():
     prob = QpProblem(n=1, quad=np.array([[2.0]]), lin=np.zeros(1),
                      rows=(np.array([[1.0]]), np.array([1.0]),
                            np.array([np.inf])))
-    sol = solve_qp(prob)
+    sol = QpSolver(prob).solve()
     assert sol.status == OPTIMAL
     np.testing.assert_allclose(sol.x, [1.0], atol=1e-7)
 
@@ -29,7 +28,7 @@ def test_equality_constrained_two_variable_problem():
     prob = QpProblem(n=2, quad=2 * np.eye(2), lin=np.array([-6.0, 2.0]),
                      rows=(np.array([[1.0, 1.0]]), np.zeros(1), np.zeros(1)),
                      const=10.0)
-    sol = solve_qp(prob)
+    sol = QpSolver(prob).solve()
     assert sol.status == OPTIMAL
     np.testing.assert_allclose(sol.x, [2.0, -2.0], atol=1e-7)
     assert sol.objective == pytest.approx(2.0, abs=1e-7)
@@ -41,19 +40,19 @@ def test_contradictory_equalities_are_infeasible():
     prob = QpProblem(n=1, quad=np.zeros((1, 1)), lin=np.zeros(1),
                      rows=(np.array([[1.0], [1.0]]), np.array([1.0, 2.0]),
                            np.array([1.0, 2.0])))
-    sol = solve_qp(prob)
+    sol = QpSolver(prob).solve()
     assert sol.status == INFEASIBLE
 
 
 def test_unbounded_direction_is_certified():
     prob = QpProblem(n=1, quad=np.zeros((1, 1)), lin=np.array([-1.0]))
-    sol = solve_qp(prob)
+    sol = QpSolver(prob).solve()
     assert sol.status == UNBOUNDED
 
 
 def test_zero_problem_reports_zero_residuals():
     prob = QpProblem(n=2, quad=np.zeros((2, 2)), lin=np.zeros(2))
-    sol = solve_qp(prob)
+    sol = QpSolver(prob).solve()
     assert sol.status == OPTIMAL
     res = kkt_residuals(prob, sol)
     assert max(res.values()) == 0.0
@@ -62,7 +61,7 @@ def test_zero_problem_reports_zero_residuals():
 def test_perturbed_point_shows_in_residuals():
     prob = QpProblem(n=2, quad=2 * np.eye(2), lin=np.array([-6.0, 2.0]),
                      rows=(np.array([[1.0, 1.0]]), np.zeros(1), np.zeros(1)))
-    sol = solve_qp(prob)
+    sol = QpSolver(prob).solve()
     sol.x[0] += 0.1
     res = kkt_residuals(prob, sol)
     assert max(res["primal"], res["dual"]) >= 0.05
@@ -159,7 +158,7 @@ def test_dense_and_sparse_data_solve_identically():
         dense = QpProblem(n=sparse.n, quad=sparse.quad.toarray(),
                           lin=sparse.lin, rows=(A.toarray(), lo, hi),
                           const=sparse.const)
-        a, b = solve_qp(sparse), solve_qp(dense)
+        a, b = QpSolver(sparse).solve(), QpSolver(dense).solve()
         assert a.status == b.status == OPTIMAL
         assert a.iterations == b.iterations
         assert a.x.tobytes() == b.x.tobytes()
@@ -171,15 +170,15 @@ def test_iteration_budget_returns_best_iterate(monkeypatch):
     monkeypatch.setattr(qp, "CHECK_EVERY", 1)
     rng = np.random.default_rng(1)
     prob = random_bounded_qp(rng)
-    sol = solve_qp(prob, QpSettings(polish=False))
+    sol = QpSolver(prob, QpSettings(polish=False)).solve()
     assert sol.status == MAX_ITER
 
 
 def test_determinism_bit_identical():
     rng = np.random.default_rng(7)
     prob = random_bounded_qp(rng)
-    a = solve_qp(prob)
-    b = solve_qp(prob)
+    a = QpSolver(prob).solve()
+    b = QpSolver(prob).solve()
     assert a.iterations == b.iterations
     assert a.x.tobytes() == b.x.tobytes()
     assert a.objective == b.objective
@@ -190,8 +189,8 @@ def test_scaling_invariance_of_argmin():
     prob = random_bounded_qp(rng)
     scaled = QpProblem(n=prob.n, quad=7.3 * prob.quad, lin=7.3 * prob.lin,
                        rows=prob.rows)
-    a = solve_qp(prob)
-    b = solve_qp(scaled)
+    a = QpSolver(prob).solve()
+    b = QpSolver(scaled).solve()
     np.testing.assert_allclose(a.x, b.x, atol=1e-6)
 
 
@@ -201,8 +200,8 @@ def test_warm_restart_reaches_the_same_answer():
     solver = QpSolver(prob)
     first = solver.solve()
     again = solver.solve(lin=prob.lin * 1.01, warm=True)
-    direct = solve_qp(QpProblem(n=prob.n, quad=prob.quad,
-                                lin=prob.lin * 1.01, rows=prob.rows))
+    direct = QpSolver(QpProblem(n=prob.n, quad=prob.quad,
+                                lin=prob.lin * 1.01, rows=prob.rows)).solve()
     assert again.status == OPTIMAL
     np.testing.assert_allclose(again.x, direct.x, atol=1e-6)
     assert again.iterations <= first.iterations
@@ -214,7 +213,7 @@ def test_matches_brute_force_oracle(seed):
     rng = np.random.default_rng(seed)
     prob = random_bounded_qp(rng)
     ref_obj, _ = brute_force_qp(prob)
-    sol = solve_qp(prob)
+    sol = QpSolver(prob).solve()
     assert sol.status == OPTIMAL
     assert abs(sol.objective - ref_obj) <= 1e-6 * max(1.0, abs(ref_obj))
     res = kkt_residuals(prob, sol)

@@ -7,7 +7,7 @@ from conftest import surplus_pair, toy_tariff
 from vppsim.agent import AgentRuntime
 from vppsim.chain import Chain
 from vppsim.coordinator import (AlgoConfig, LocalTransport,
-                                run_decentralized)
+                                run_decentralized, stack_trades)
 from vppsim.scenario_io import gen_synthetic
 from vppsim.simnet import (ChainTransport, NetConfig, RoundTimeout,
                            SimError, run_round, write_events)
@@ -54,9 +54,12 @@ def test_one_round_collects_every_trade_then_seals():
                     np.random.default_rng(0), events=events)
     assert chain.state().round == 1
     assert len(out.block.txs) == 3
-    # every ordered pair, as the contract stored it
-    assert out.trades.shape == (3, 3, 2)
-    assert out.trades.tobytes() == chain.state().trades.tobytes()
+    # every ordered pair of the sealed payloads, as the contract stored it
+    trades = chain.state().trades
+    assert trades.shape == (3, 3, 2)
+    rows = {tx.sender: tx.payload["trades"] for tx in out.block.txs}
+    assert trades.tobytes() == stack_trades(sorted(agents), 2,
+                                            rows).tobytes()
     kinds = [ev.kind for ev in events]
     assert kinds.count("deliver") == 3
     assert kinds.count("solve") == 3
