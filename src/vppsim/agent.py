@@ -10,7 +10,9 @@ matrices, so no builder allocates a dense constraint matrix.  The
 cooperative build is dual-free: it carries the splitting penalty's
 fixed quadratic part, and the coordination state (auxiliary trades and
 multipliers) enters the objective only through `admm_terms`, once per
-trading round.
+trading round.  `AgentRuntime` solves those rounds at the loose
+LOOP_TOL and, once the loop ends, re-solves the last round at qp.TOL,
+so the schedule and cost it reports rest on a tight solve.
 
 Variable layout per household, in order: g, r, l_ac, l_fl, c, d, e_fit,
 e_dr, e_as (each one slot-vector), the scalar peak epigraph variable,
@@ -26,7 +28,15 @@ import scipy.sparse as sp
 
 from .model import (CO, AcParams, BatteryParams, DimensionError, InvalidInput,
                     Schedule, Tariff, UserProfile, ZERO_CLAMP, cost_breakdown)
-from .qp import OPTIMAL, QpProblem, QpSettings, QpSolution, QpSolver
+from .qp import OPTIMAL, TOL, QpProblem, QpSettings, QpSolution, QpSolver
+
+# Stopping tolerance of the per-round trading solves.  The outer
+# convergence test, not the inner tolerance, decides when the loop ends,
+# and `AgentRuntime.finish` re-solves the last round at TOL; inexact
+# subproblem solves of this kind keep ADMM convergent (Eckstein and
+# Bertsekas, Math. Prog. 1992).  A fixed 1e-4 ran faster than 1e-5 or
+# 1e-6, at 3 and at 10 households.
+LOOP_TOL = 1e-4
 
 FIELDS = ("g", "r", "l_ac", "l_fl", "c", "d", "e_fit", "e_dr", "e_as")
 
@@ -459,8 +469,9 @@ class AgentRuntime:
 
     The quadratic part and all constraint rows are fixed over the loop, so
     the splitting factorization is built once; each round only the linear
-    term moves and the previous iterates warm start the solve.  Nothing
-    but the trade vectors ever leaves this object during the loop.
+    term moves and the previous iterates warm start the solve.  Rounds
+    are solved at LOOP_TOL; `finish` re-solves the last round at TOL.
+    Nothing but the trade vectors ever leaves this object during the loop.
     """
 
     def __init__(self, profile: UserProfile, tariff: Tariff, peers, rho,
@@ -477,17 +488,28 @@ class AgentRuntime:
         self.schedule: Schedule | None = None
         self.cost: float | None = None
         self.solves = 0
+        self.iterations = 0     # ADMM iterations of the last solve
+        self._terms = None      # (lin, const) of the last round
 
     def solve_round(self, dual: DualSlice) -> dict[str, np.ndarray]:
         """Solve the trading subproblem and return only the trade vectors."""
         dlin, dconst = admm_terms(dual, self.layout)
-        sol = self.solver.solve(lin=self.problem.lin + dlin,
-                                const=self.problem.const + dconst,
-                                warm=self.solves > 0)
+        self._terms = (self.problem.lin + dlin, self.problem.const + dconst)
+        self._solve(LOOP_TOL)
+        return {v: self.schedule.trades[v].copy() for v in self.layout.peers}
+
+    def finish(self):
+        """Re-solve the last round at TOL, warm, and decode from that solve."""
+        self._solve(TOL)
+
+    def _solve(self, tol):
+        lin, const = self._terms
+        sol = self.solver.solve(lin=lin, const=const, warm=self.solves > 0,
+                                tol=tol)
         if sol.status != OPTIMAL:
             raise AgentSolveError(self.user, sol.status)
         self.solves += 1
+        self.iterations = sol.iterations
         self.schedule = decode(sol, self.layout)
         self.cost = cost_breakdown(
             self.schedule, self.profile, self.tariff, CO).total
-        return {v: self.schedule.trades[v].copy() for v in self.layout.peers}

@@ -627,7 +627,12 @@ def replay(source) -> ContractState:
                                      tx.payload):
                     raise CorruptionError(height, "transaction id mismatch "
                                           f"for {tx.sender}:{tx.nonce}")
-                apply_tx(state, tx)
+                try:
+                    apply_tx(state, tx)
+                except ChainError as exc:
+                    raise CorruptionError(
+                        height, f"transaction {tx.sender}:{tx.nonce} does "
+                        f"not apply ({exc})") from exc
             root = state.root()
             if root != record["state_root"]:
                 raise CorruptionError(height, "state root mismatch")

@@ -162,10 +162,15 @@ class AlgoConfig:
 
 @dataclass
 class TraceRecord:
+    """One outer round: gaps, household costs, and the sum and maximum
+    over households of that round's ADMM iterations."""
+
     iteration: int
     primal_gap: float
     dual_gap: float
     costs: dict[str, float]
+    inner_iters_sum: int = 0
+    inner_iters_max: int = 0
 
 
 @dataclass
@@ -199,6 +204,14 @@ class LocalTransport:
         trades = stack_trades(state.users, state.aux.shape[2], rows)
         return trades, step(state, trades)
 
+    def finish(self):
+        """Re-solve every household's last round at the tight tolerance."""
+        for a in self.agents.values():
+            a.finish()
+
+    def inner_iterations(self) -> list[int]:
+        return [a.iterations for a in self.agents.values()]
+
     def schedules(self):
         return {u: a.schedule for u, a in self.agents.items()}
 
@@ -213,7 +226,9 @@ def run_decentralized(profiles, tariff: Tariff, cfg: AlgoConfig,
     Starts from zero multipliers and zero auxiliary trades; each exchange
     returns the next dual state.  Stops when the convergence test passes
     or cfg.max_iter is exhausted (the result is then flagged
-    converged=False and carries the last iterate).
+    converged=False and carries the last iterate).  Either way every
+    household then re-solves its last round at the tight tolerance, and
+    the schedules, costs and feasibility come from those solves.
     """
     profiles = sorted(profiles, key=lambda p: p.user_id)
     if len(profiles) < 2:
@@ -229,14 +244,18 @@ def run_decentralized(profiles, tariff: Tariff, cfg: AlgoConfig,
         prev_mult = state.mult
         trades, state = transport.exchange(state)
         rep = convergence(state, prev_mult, trades, cfg.eps1, cfg.eps2)
+        inner = transport.inner_iterations()
         trace.append(TraceRecord(iteration=state.iteration,
                                  primal_gap=rep.primal_gap,
                                  dual_gap=rep.dual_gap,
-                                 costs=transport.costs()))
+                                 costs=transport.costs(),
+                                 inner_iters_sum=sum(inner),
+                                 inner_iters_max=max(inner)))
         if rep.converged:
             converged = True
             break
 
+    transport.finish()
     residual = float(np.max(np.abs(trades + trades.transpose(1, 0, 2))))
     schedules = transport.schedules()
     cap = resolve_trade_cap(cfg.trade_cap, profiles)

@@ -446,11 +446,12 @@ def check_feasibility(s: Schedule, p: UserProfile, tariff: Tariff,
         if amount > tol:
             rep.violations.append(Violation(name, slot, float(amount)))
 
+    def per_slot(name, amount):
+        for t in np.flatnonzero(amount > tol):
+            rep.violations.append(Violation(name, int(t), float(amount[t])))
+
     def box(name, x, lo, hi):
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), x.shape)
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), x.shape)
-        for t in range(x.size):
-            add(name, t, max(lo[t] - x[t], x[t] - hi[t]))
+        per_slot(name, np.maximum(np.subtract(lo, x), np.subtract(x, hi)))
 
     box("renewable", s.r, 0.0, p.exo.renewable_cap)
     box("grid", s.g, 0.0, p.fuse_limit)
@@ -463,20 +464,17 @@ def check_feasibility(s: Schedule, p: UserProfile, tariff: Tariff,
     box("charge_rate", s.c, 0.0, p.battery.max_charge)
     box("discharge_rate", s.d, 0.0, p.battery.max_discharge)
     box("fit_nonneg", s.e_fit, 0.0, np.inf)
-    for t in range(H):
-        add("fit_cap", t, s.e_fit[t] - (p.exo.renewable_cap[t] - s.r[t]))
+    per_slot("fit_cap", s.e_fit - (p.exo.renewable_cap - s.r))
     box("dr_cap", s.e_dr, 0.0, s.g)
     box("as_cap", s.e_as, 0.0, b)
     box("ac_nonneg", s.l_ac, 0.0, np.inf)
-    for t in range(H):
-        add("peak", t, s.g[t] - s.peak)
+    per_slot("peak", s.g - s.peak)
 
     balance = (s.l_ac + s.l_fl + p.exo.inflexible + s.c + s.e_dr
                - s.r - s.g - s.d)
     if mode == CO:
         balance = balance - s.net_trade()
-    for t in range(H):
-        add("balance", t, abs(balance[t]))
+    per_slot("balance", np.abs(balance))
 
     if mode == SA:
         for v, vec in s.trades.items():

@@ -16,11 +16,14 @@ Cholesky factorization of Q + sigma I + A' diag(rho) A; that matrix is
 formed sparse and factored dense, and `QpSolver` caches the factor so
 that repeated solves with a new linear term (the situation in the
 trading loop) are cheap.  Step sizes are rebalanced every ADAPT_EVERY
-iterations from the primal/dual residual imbalance.  Infeasibility and
-unboundedness are declared through the standard divergence certificates
-of the splitting iteration.  A final polish step solves the KKT system
-of the detected active set, assembled from the sparse blocks and
-factored dense, to push residuals to machine precision.
+iterations from the primal/dual residual imbalance.  The iteration stops
+when both residuals meet a tolerance, TOL unless the caller passes
+another (the trading loop's round solves pass agent.LOOP_TOL).
+Infeasibility and unboundedness are declared through the standard
+divergence certificates of the splitting iteration.  A final polish
+step solves the KKT system of the detected active set, assembled from
+the sparse blocks and factored dense, to push residuals to machine
+precision.
 
 Everything is deterministic at a fixed BLAS thread count: identical
 inputs and settings produce identical iterates, iteration counts, and
@@ -52,7 +55,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 # fixed solver constants; they favor accuracy over speed
-TOL = 1e-8              # residual and polish-acceptance tolerance
+TOL = 1e-8              # default stopping and polish-acceptance tolerance
 STEP = 0.1              # initial splitting step
 SIGMA = 1e-6            # proximal regularization
 RELAX = 1.6             # over-relaxation
@@ -180,15 +183,15 @@ class QpSolver:
 
     # -- residuals ---------------------------------------------------------
 
-    def _residuals(self, x, y, z, q):
+    def _residuals(self, x, y, z, q, tol):
         P = self.problem.quad
         Ax = self.M @ x
         Px = P @ x
         Aty = self.MT @ y
         r_prim = _norm(Ax - z)
         r_dual = _norm(Px + q + Aty)
-        eps_prim = TOL + TOL * max(_norm(Ax), _norm(z))
-        eps_dual = TOL + TOL * max(_norm(Px), _norm(Aty), _norm(q))
+        eps_prim = tol + tol * max(_norm(Ax), _norm(z))
+        eps_dual = tol + tol * max(_norm(Px), _norm(Aty), _norm(q))
         return r_prim, r_dual, eps_prim, eps_dual
 
     def _primal_certificate(self, dy) -> bool:
@@ -221,7 +224,8 @@ class QpSolver:
 
     # -- main loop ---------------------------------------------------------
 
-    def solve(self, lin=None, const=None, warm: bool = False) -> QpSolution:
+    def solve(self, lin=None, const=None, warm: bool = False,
+              tol: float = TOL) -> QpSolution:
         """Run the splitting iteration.
 
         Parameters
@@ -231,6 +235,10 @@ class QpSolver:
             and the constraints stay fixed, keeping the factorization valid).
         warm : bool
             Start from the final iterates of the previous solve.
+        tol : float
+            Absolute and relative tolerance of the primal/dual stopping
+            test.  The divergence certificates keep INF_TOL and polish
+            acceptance keeps TOL whatever this is.
         """
         polish = self.settings.polish
         n, m = self.problem.n, self.m
@@ -264,7 +272,8 @@ class QpSolver:
             z = z_new
 
             if it % CHECK_EVERY == 0 or it == ITER_LIMIT:
-                r_prim, r_dual, eps_p, eps_d = self._residuals(x, y, z, q)
+                r_prim, r_dual, eps_p, eps_d = self._residuals(x, y, z, q,
+                                                               tol)
                 if r_prim <= eps_p and r_dual <= eps_d:
                     status = OPTIMAL
                     break

@@ -483,13 +483,16 @@ def write_results(out, schedules=None, sa_costs=None, co_costs=None,
         with open(out / "trace.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["day", "iteration", "primal_gap", "dual_gap",
-                             "aggregate_cost"])
+                             "aggregate_cost", "inner_iters_sum",
+                             "inner_iters_max"])
             for day in sorted(trace):
                 for rec in trace[day]:
                     writer.writerow([day, rec.iteration,
                                      repr(rec.primal_gap),
                                      repr(rec.dual_gap),
-                                     repr(float(sum(rec.costs.values())))])
+                                     repr(float(sum(rec.costs.values()))),
+                                     rec.inner_iters_sum,
+                                     rec.inner_iters_max])
     if config_text is not None:
         (out / "effective.conf").write_text(config_text)
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from conftest import surplus_pair, toy_profile, toy_tariff
 
-from vppsim.agent import (AgentRuntime, BuildError, DecodeError, DualSlice,
-                          Layout, admm_terms, battery_response,
-                          build_centralized, build_co_primal,
-                          build_sa_problem, decode, decode_all,
-                          thermal_response)
+from vppsim import qp
+from vppsim.agent import (LOOP_TOL, AgentRuntime, AgentSolveError, BuildError,
+                          DecodeError, DualSlice, Layout, admm_terms,
+                          battery_response, build_centralized,
+                          build_co_primal, build_sa_problem, decode,
+                          decode_all, thermal_response)
 from vppsim.model import (CO, SA, InvalidInput, battery_trajectory,
                           check_feasibility, cost_breakdown,
                           thermal_trajectory)
@@ -218,6 +219,25 @@ def test_runtime_shares_only_trade_vectors():
     assert out["ub"].shape == (2,)
     assert rt.solves == 1
     assert rt.schedule is not None and rt.cost is not None
+    rt.finish()
+    tight = rt.schedule.trades["ub"].copy()
+    # round solves stop at LOOP_TOL, so they repeat only to that order;
+    # the final solves stop at qp.TOL and repeat to 1e-9
     again = rt.solve_round(zero)
-    np.testing.assert_allclose(again["ub"], out["ub"], atol=1e-9)
-    assert rt.solves == 2
+    np.testing.assert_allclose(again["ub"], out["ub"], atol=LOOP_TOL)
+    rt.finish()
+    np.testing.assert_allclose(rt.schedule.trades["ub"], tight, atol=1e-9)
+    assert rt.solves == 4
+
+
+def test_finish_refuses_a_failed_tight_solve(monkeypatch):
+    a, _ = surplus_pair(H=2)
+    rt = AgentRuntime(a, toy_tariff(2, pi_fit=0.1), peers=["ub"], rho=1.0,
+                      trade_cap=10.0)
+    rt.solve_round(DualSlice(aux={"ub": np.ones(2)}, mult={"ub": np.ones(2)},
+                             rho=1.0))
+    monkeypatch.setattr(qp, "ITER_LIMIT", 1)
+    monkeypatch.setattr(qp, "CHECK_EVERY", 1)
+    with pytest.raises(AgentSolveError) as err:
+        rt.finish()
+    assert err.value.user == "ua"

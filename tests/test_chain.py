@@ -481,6 +481,18 @@ def test_malformed_record_is_corruption_at_its_height(tmp_path, capsys,
     assert "chain log corrupt" in capsys.readouterr().err
 
 
+def test_transaction_that_cannot_apply_is_corruption_at_its_height():
+    chain = small_chain()
+    run_small_session(chain)
+    # correctly hashed, but u already submitted trades for round 0
+    extra = trading_tx("u", 1, {"v": [0.2, 0.0]})
+    chain.records[1]["txs"].insert(1, extra.to_record())
+    with pytest.raises(CorruptionError) as err:
+        replay(chain.records)
+    assert err.value.height == 0
+    assert "u:1 does not apply" in str(err.value)
+
+
 def test_text_dump_covers_every_record(tmp_path):
     chain = small_chain()
     run_small_session(chain)

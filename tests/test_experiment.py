@@ -102,3 +102,15 @@ def test_a_stuck_day_stops_the_run():
     gap = run_verify_oracle(sc)
     assert gap.rel_gap == float("inf")
     assert gap.day_gaps == []
+
+
+def test_expensive_peer_energy_ends_feasible():
+    # Round solves stop at the loose loop tolerance; on this day the
+    # schedules read off the last round break feasibility at 1e-6, and
+    # the final tight solve per household is what makes them feasible.
+    sc = gen_synthetic(seed=0, users=2, complementary=True)
+    with pytest.warns(UserWarning):   # peer price above the grid price
+        sc = replace(sc, tariff=replace(sc.tariff, pi_p2p=3.6))
+        res = run_co(sc, settle=False)
+    assert res.converged
+    assert res.feasible

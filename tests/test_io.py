@@ -213,14 +213,16 @@ def test_comparison_table_and_reduction_rule(tmp_path):
 
 def test_trace_and_config_echo(tmp_path):
     trace = {0: [TraceRecord(iteration=1, primal_gap=0.5, dual_gap=0.25,
-                             costs={"u01": 2.0, "u02": 1.0})],
+                             costs={"u01": 2.0, "u02": 1.0},
+                             inner_iters_sum=150, inner_iters_max=100)],
              1: [TraceRecord(iteration=1, primal_gap=0.0, dual_gap=0.0,
                              costs={"u01": 1.5, "u02": 0.5})]}
     write_results(tmp_path, trace=trace, config_text="days = 2\n")
     lines = (tmp_path / "trace.csv").read_text().splitlines()
-    assert lines[0] == "day,iteration,primal_gap,dual_gap,aggregate_cost"
-    assert lines[1].startswith("0,1,0.5,0.25,3.0")
-    assert lines[2].startswith("1,1,0.0,0.0,2.0")
+    assert lines[0] == ("day,iteration,primal_gap,dual_gap,aggregate_cost,"
+                        "inner_iters_sum,inner_iters_max")
+    assert lines[1] == "0,1,0.5,0.25,3.0,150,100"
+    assert lines[2] == "1,1,0.0,0.0,2.0,0,0"
     assert (tmp_path / "effective.conf").read_text() == "days = 2\n"
 
 

@@ -362,3 +362,83 @@ def test_worst_violation_orders_by_magnitude():
     p = toy_profile(H=4, inflexible=[3.0, 1.0, 0.0, 0.0])
     rep = check_feasibility(zero_schedule(4), p, toy_tariff(4), SA)
     assert max(v.amount for v in rep.violations) == pytest.approx(3.0)
+
+
+def _loop_violations(s, p, mode, tol, trade_cap):
+    """The per-slot loop version of check_feasibility, kept as reference."""
+    H = p.horizon
+    out = []
+
+    def add(name, slot, amount):
+        if amount > tol:
+            out.append((name, slot, float(amount)))
+
+    def box(name, x, lo, hi):
+        lo = np.broadcast_to(np.asarray(lo, dtype=float), x.shape)
+        hi = np.broadcast_to(np.asarray(hi, dtype=float), x.shape)
+        for t in range(x.size):
+            add(name, t, max(lo[t] - x[t], x[t] - hi[t]))
+
+    box("renewable", s.r, 0.0, p.exo.renewable_cap)
+    box("grid", s.g, 0.0, p.fuse_limit)
+    T = thermal_trajectory(s.l_ac, p.exo, p.ac)
+    box("temperature", T, p.ac.t_min, p.ac.t_max)
+    add("flex_total", None, abs(float(np.sum(s.l_fl)) - p.flex.total))
+    box("flex_slot", s.l_fl, p.flex.lo[:H], p.flex.hi[:H])
+    b = battery_trajectory(s.c, s.d, p.battery)
+    box("battery_level", b, 0.0, p.battery.capacity)
+    box("charge_rate", s.c, 0.0, p.battery.max_charge)
+    box("discharge_rate", s.d, 0.0, p.battery.max_discharge)
+    box("fit_nonneg", s.e_fit, 0.0, np.inf)
+    for t in range(H):
+        add("fit_cap", t, s.e_fit[t] - (p.exo.renewable_cap[t] - s.r[t]))
+    box("dr_cap", s.e_dr, 0.0, s.g)
+    box("as_cap", s.e_as, 0.0, b)
+    box("ac_nonneg", s.l_ac, 0.0, np.inf)
+    for t in range(H):
+        add("peak", t, s.g[t] - s.peak)
+    balance = (s.l_ac + s.l_fl + p.exo.inflexible + s.c + s.e_dr
+               - s.r - s.g - s.d)
+    if mode == CO:
+        balance = balance - s.net_trade()
+    for t in range(H):
+        add("balance", t, abs(balance[t]))
+    if mode == SA:
+        for v, vec in s.trades.items():
+            if np.any(np.abs(vec) > tol):
+                t = int(np.argmax(np.abs(vec)))
+                add("trade_self", t, float(np.abs(vec[t])))
+    else:
+        if p.user_id in s.trades:
+            vec = np.abs(s.trades[p.user_id])
+            t = int(np.argmax(vec))
+            add("trade_self", t, float(vec[t]))
+        if trade_cap is not None:
+            for v, vec in s.trades.items():
+                box("trade_cap", vec, -trade_cap, trade_cap)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_feasibility_matches_a_per_row_reference(seed):
+    rng = np.random.default_rng(seed)
+    H = 6
+    p = toy_profile(H=H, renewable=rng.uniform(0.0, 2.0, H),
+                    inflexible=rng.uniform(0.0, 1.5, H), capacity=4.0,
+                    flex_total=1.0, fuse=3.0)
+    tar = toy_tariff(H)
+    # about half of the entries sit inside their boxes, half outside
+    fields = {f: rng.uniform(-0.5, 1.5, H) * rng.choice([0.0, 1.0, 4.0], H)
+              for f in ("g", "r", "l_ac", "l_fl", "c", "d", "e_fit",
+                        "e_dr", "e_as")}
+    peers = {"ub": rng.normal(0.0, 2.0, H), "uc": rng.normal(0.0, 0.2, H)}
+    if seed % 4 == 0:
+        peers["u01"] = rng.normal(0.0, 1.0, H)
+    s = Schedule(peak=float(rng.uniform(0.0, 3.0)),
+                 trades=peers if seed % 2 else {}, **fields)
+    for mode, cap in ((SA, None), (CO, None), (CO, 1.5)):
+        for tol in (1e-6, 0.3):
+            rep = check_feasibility(s, p, tar, mode, tol=tol, trade_cap=cap)
+            got = [(v.constraint, v.slot, v.amount) for v in rep.violations]
+            assert got == _loop_violations(s, p, mode, tol, cap)
+            assert all(type(slot) in (int, type(None)) for _, slot, _ in got)

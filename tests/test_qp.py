@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from qp_oracle import brute_force_qp, random_bounded_qp
 from vppsim import qp
 from vppsim.agent import build_co_primal
+from vppsim.experiment import centralized_day
 from vppsim.qp import (INFEASIBLE, MAX_ITER, OPTIMAL, UNBOUNDED, QpProblem,
                        QpSettings, QpSolution, QpSolver, kkt_residuals)
+from vppsim.scenario_io import gen_synthetic
 
 
 def test_active_bound_pins_the_minimizer():
@@ -218,3 +220,34 @@ def test_matches_brute_force_oracle(seed):
     assert abs(sol.objective - ref_obj) <= 1e-6 * max(1.0, abs(ref_obj))
     res = kkt_residuals(prob, sol)
     assert max(res.values()) <= 1e-8
+
+
+def test_loose_tolerance_stops_sooner_within_its_bound():
+    loose_tol = 1e-4
+    fewer = 0
+    for seed in range(8):
+        prob = random_bounded_qp(np.random.default_rng(seed))
+        lin = prob.lin * 1.01
+        iterations = {}
+        for tol in (qp.TOL, loose_tol):
+            solver = QpSolver(prob, QpSettings(polish=False))
+            solver.solve()
+            sol = solver.solve(lin=lin, warm=True, tol=tol)
+            assert sol.status == OPTIMAL
+            iterations[tol] = sol.iterations
+        # the stopping test at the loose tolerance holds at the returned
+        # iterate, with the same scaling as the tight one
+        r_prim, r_dual, eps_p, eps_d = solver._residuals(*solver._last, lin,
+                                                         loose_tol)
+        assert sol.residuals == {"primal": r_prim, "dual": r_dual}
+        assert r_prim <= eps_p and r_dual <= eps_d
+        assert iterations[loose_tol] <= iterations[qp.TOL]
+        fewer += iterations[loose_tol] < iterations[qp.TOL]
+    assert fewer > 0
+
+
+def test_default_tolerance_keeps_the_oracle5_objective():
+    # the centralized oracle of the 5-household benchmark scenario
+    sc = gen_synthetic(seed=2, users=5, complementary=True)
+    objective, _ = centralized_day(sc, 0)
+    assert objective == pytest.approx(-24.9809044003741, rel=1e-9)
