@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .model import (CO, AcParams, BatteryParams, DimensionError, InvalidInput,
-                    Schedule, Tariff, UserProfile, ZERO_CLAMP, cost_breakdown)
+from .model import (CO, SLOT_FIELDS, AcParams, BatteryParams, DimensionError,
+                    InvalidInput, Schedule, Tariff, UserProfile, ZERO_CLAMP,
+                    cost_breakdown)
 from .qp import OPTIMAL, TOL, QpProblem, QpSettings, QpSolution, QpSolver
 
 # Stopping tolerance of the per-round trading solves.  The outer
@@ -37,8 +38,6 @@ from .qp import OPTIMAL, TOL, QpProblem, QpSettings, QpSolution, QpSolver
 # Bertsekas, Math. Prog. 1992).  A fixed 1e-4 ran faster than 1e-5 or
 # 1e-6, at 3 and at 10 households.
 LOOP_TOL = 1e-4
-
-FIELDS = ("g", "r", "l_ac", "l_fl", "c", "d", "e_fit", "e_dr", "e_as")
 
 
 class BuildError(ValueError):
@@ -80,20 +79,20 @@ class Layout:
 
     @property
     def n(self) -> int:
-        return 9 * self.horizon + 1 + len(self.peers) * self.horizon
+        return (len(SLOT_FIELDS) + len(self.peers)) * self.horizon + 1
 
     def sl(self, name: str) -> slice:
-        i = FIELDS.index(name)
+        i = SLOT_FIELDS.index(name)
         return slice(self.offset + i * self.horizon,
                      self.offset + (i + 1) * self.horizon)
 
     @property
     def peak(self) -> int:
-        return self.offset + 9 * self.horizon
+        return self.offset + len(SLOT_FIELDS) * self.horizon
 
     def trade(self, peer: str) -> slice:
         j = self.peers.index(peer)
-        base = self.offset + 9 * self.horizon + 1 + j * self.horizon
+        base = self.offset + (len(SLOT_FIELDS) + j) * self.horizon + 1
         return slice(base, base + self.horizon)
 
 
@@ -208,9 +207,7 @@ def _user_block(p: UserProfile, tariff: Tariff, lay: Layout,
     lac, lfl = lay.sl("l_ac"), lay.sl("l_fl")
     c, d = lay.sl("c"), lay.sl("d")
     efit, edr, eas = lay.sl("e_fit"), lay.sl("e_dr"), lay.sl("e_as")
-    idx = {k: np.arange(s.start, s.stop) for k, s in
-           (("g", g), ("r", r), ("l_ac", lac), ("l_fl", lfl), ("c", c),
-            ("d", d), ("e_fit", efit), ("e_dr", edr), ("e_as", eas))}
+    idx = {k: np.arange(lay.sl(k).start, lay.sl(k).stop) for k in SLOT_FIELDS}
 
     # objective: two-part tariff through the peak epigraph variable
     lin[g] += tariff.alpha
@@ -440,7 +437,7 @@ def decode(sol: QpSolution, lay: Layout) -> Schedule:
         v[np.abs(v) < ZERO_CLAMP] = 0.0
         return v
 
-    kw = {f: clamp(x[lay.sl(f)]) for f in FIELDS}
+    kw = {f: clamp(x[lay.sl(f)]) for f in SLOT_FIELDS}
     peak = float(x[lay.peak])
     if abs(peak) < ZERO_CLAMP:
         peak = 0.0

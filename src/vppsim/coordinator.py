@@ -159,6 +159,10 @@ class AlgoConfig:
     max_iter: int = 2000
     trade_cap: float | None = None
 
+    def __post_init__(self):
+        if self.max_iter < 1:  # a run of no rounds has no schedules
+            raise InvalidInput(f"max_iter must be >= 1, got {self.max_iter}")
+
 
 @dataclass
 class TraceRecord:

@@ -26,6 +26,10 @@ ZERO_CLAMP = 1e-10
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
+# the per-slot vectors of a Schedule, in the order of the household
+# problem's variable layout and of the schedule CSV columns
+SLOT_FIELDS = ("g", "r", "l_ac", "l_fl", "c", "d", "e_fit", "e_dr", "e_as")
+
 
 class DimensionError(ValueError):
     """Vector lengths disagree with the horizon or with each other."""
@@ -52,16 +56,13 @@ def _vec(x, name, length=None):
 
 @dataclass
 class Horizon:
-    """Scheduling horizon: `slots` periods of `dt` hours each (one day)."""
+    """Scheduling horizon: `slots` one-hour periods (one day)."""
 
     slots: int = 24
-    dt: float = 1.0
 
     def __post_init__(self):
         if self.slots < 1:
             raise InvalidInput(f"horizon needs at least one slot, got {self.slots}")
-        if self.dt <= 0:
-            raise InvalidInput(f"slot length must be positive, got {self.dt}")
 
 
 @dataclass
@@ -254,7 +255,7 @@ class Schedule:
     def __post_init__(self):
         self.g = _vec(self.g, "g")
         n = self.g.size
-        for name in ("r", "l_ac", "l_fl", "c", "d", "e_fit", "e_dr", "e_as"):
+        for name in SLOT_FIELDS[1:]:
             setattr(self, name, _vec(getattr(self, name), name, length=n))
         self.trades = {v: _vec(p, f"trades[{v}]", length=n)
                        for v, p in self.trades.items()}

@@ -1,7 +1,7 @@
 """Scenario files on disk, synthetic generation, and results emission.
 
-A scenario directory holds one scenario.conf with key = value scalars
-(dotted keys group related settings) and a users/<id>/traces.csv per
+A scenario directory holds one scenario.conf of key = value lines, each
+key a field of a config dataclass, and a users/<id>/traces.csv per
 household with the exogenous series.  Results land in comma-separated
 text with documented headers so they diff cleanly and load back without
 loss: floats are written with repr, which round-trips exactly.
@@ -9,19 +9,18 @@ loss: floats are written with repr, which round-trips exactly.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .coordinator import AlgoConfig
-from .model import (AcParams, BatteryParams, ExogenousSeries, FlexParams,
-                    Horizon, InvalidInput, Tariff, UserProfile)
+from .model import (SLOT_FIELDS, AcParams, BatteryParams, ExogenousSeries,
+                    FlexParams, Horizon, InvalidInput, Tariff, UserProfile)
 from .simnet import NetConfig, SimError
 
 TRACE_COLUMNS = ("slot", "renewable_cap", "t_out", "inflexible", "flex_ref")
-SCHEDULE_COLUMNS = ("day", "slot", "g", "r", "l_ac", "l_fl", "c", "d",
-                    "e_fit", "e_dr", "e_as", "peak")
 COMPARISON_COLUMNS = ("user", "sa_total", "co_total", "reduction_pct")
 
 
@@ -50,16 +49,67 @@ class Scenario:
                 raise ScenarioError(
                     f"user {u.user_id}: series length {u.horizon}, "
                     f"expected slots*days = {n}")
-        for name in ("pi_dr", "pi_as"):
-            if len(getattr(self.tariff, name)) != n:
-                raise ScenarioError(
-                    f"tariff.{name}: length "
-                    f"{len(getattr(self.tariff, name))}, expected {n}")
+        # Tariff holds pi_as to the length of pi_dr
+        if self.tariff.pi_dr.size != n:
+            raise ScenarioError(f"tariff.pi_dr: length "
+                                f"{self.tariff.pi_dr.size}, expected {n}")
 
 
 # ---------------------------------------------------------------------------
-# scenario.conf parsing
+# scenario.conf schema and parsing
 # ---------------------------------------------------------------------------
+
+# Field kinds: parse(raw, n) reads a value (n is the series length) and
+# raises ValueError on a bad one.
+def _float(raw, n):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r}")
+    return value
+
+
+def _int(raw, n):
+    return int(raw)
+
+
+def _vector(raw, n):
+    """One number per slot, or one number for every slot."""
+    values = [_float(s, n) for s in raw.split(",")]
+    if len(values) not in (1, n):
+        raise ValueError(f"{len(values)} values, expected 1 or {n}")
+    return np.resize(values, n)
+
+
+def _latency(raw, n):
+    lo, sep, hi = raw.partition(":")
+    return (int(lo), int(hi)) if sep else int(lo)
+
+
+# The kind of every section field that is not a float.  None marks a
+# field the loader supplies, which is no key: the household id, the
+# nested sections, the trace series and the per-node latency overrides.
+_KINDS = {
+    Horizon: {"slots": _int},
+    Tariff: {"pi_dr": _vector, "pi_as": _vector},
+    AlgoConfig: {"max_iter": _int},
+    NetConfig: {"latency": _latency, "timeout": _int, "seed": _int,
+                "overrides": None},
+    UserProfile: {"user_id": None, "ac": None, "flex": None,
+                  "battery": None, "exo": None},
+    FlexParams: {"reference": None, "lo": _vector, "hi": _vector},
+}
+
+# The scenario's sections, and each household's devices, whose keys sit
+# under user.<id>.<device> (the profile's own fields under user.<id>).
+_SECTIONS = (("horizon", Horizon), ("tariff", Tariff), ("algo", AlgoConfig),
+             ("net", NetConfig))
+_DEVICES = (("ac", AcParams), ("flex", FlexParams),
+            ("battery", BatteryParams))
+
+
+def _kind(cls, name):
+    return _KINDS.get(cls, {}).get(name, _float)
+
 
 def _parse_conf(path: Path) -> dict:
     entries = {}
@@ -78,72 +128,38 @@ def _parse_conf(path: Path) -> dict:
     return entries
 
 
-class _Conf:
-    """Typed access to conf entries with file/field error context."""
+def _value(path, entries, key, kind, n=0):
+    """Parse and consume one key."""
+    if key not in entries:
+        raise ScenarioError(f"{path}: missing required key {key}")
+    raw = entries.pop(key)
+    try:
+        return kind(raw, n)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {key}: {exc}")
 
-    def __init__(self, path: Path, entries: dict):
-        self.path = path
-        self.entries = entries
 
-    def raw(self, key, default=None, required=False):
-        if key not in self.entries:
-            if required:
-                raise ScenarioError(
-                    f"{self.path}: missing required key {key}")
-            return default
-        return self.entries[key]
+def _section(path, entries, prefix, cls, n=0, **given):
+    """Build cls from the keys `<prefix>.<field>`.
 
-    def number(self, key, default=None, required=False):
-        raw = self.raw(key, required=required)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ScenarioError(f"{self.path}: {key}: not a number: {raw!r}")
-        if not math.isfinite(value):
-            raise ScenarioError(f"{self.path}: {key}: non-finite value")
-        return value
-
-    def integer(self, key, default=None, required=False):
-        raw = self.raw(key, required=required)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ScenarioError(
-                f"{self.path}: {key}: not an integer: {raw!r}")
-
-    def vector(self, key, length, default=0.0):
-        """Comma list, broadcast from one value, or the default."""
-        raw = self.raw(key)
-        if raw is None:
-            return np.full(length, float(default))
-        try:
-            values = [float(s) for s in raw.split(",")]
-        except ValueError:
-            raise ScenarioError(f"{self.path}: {key}: bad number list")
-        if len(values) == 1:
-            return np.full(length, values[0])
-        if len(values) != length:
-            raise ScenarioError(
-                f"{self.path}: {key}: {len(values)} values, "
-                f"expected 1 or {length}")
-        return np.asarray(values)
-
-    def latency(self, key, default):
-        raw = self.raw(key)
-        if raw is None:
-            return default
-        try:
-            if ":" in raw:
-                lo, hi = (int(s) for s in raw.split(":"))
-                return (lo, hi)
-            return int(raw)
-        except ValueError:
-            raise ScenarioError(
-                f"{self.path}: {key}: expected ticks or lo:hi, got {raw!r}")
+    A field takes its key, else its value in `given` (a callable gets
+    the fields read so far), else its dataclass default; a key field
+    with none of these is missing.
+    """
+    kw = {}
+    for f in fields(cls):
+        key, kind = f"{prefix}.{f.name}", _kind(cls, f.name)
+        if kind is not None and key in entries:
+            kw[f.name] = _value(path, entries, key, kind, n)
+        elif f.name in given:
+            value = given[f.name]
+            kw[f.name] = value(kw) if callable(value) else value
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ScenarioError(f"{path}: missing required key {key}")
+    try:
+        return cls(**kw)
+    except (InvalidInput, SimError) as exc:
+        raise ScenarioError(f"{path}: {prefix}: {exc}")
 
 
 def _read_traces(path: Path, expected_len: int):
@@ -184,173 +200,84 @@ def _read_traces(path: Path, expected_len: int):
 
 
 def load_scenario(root) -> Scenario:
+    """Read a scenario directory.
+
+    Every key of scenario.conf is `days` or `<section>.<field>`, the
+    field belonging to the section's dataclass; any other key is an
+    error.
+    """
     root = Path(root)
-    conf_path = root / "scenario.conf"
-    if not conf_path.exists():
-        raise ScenarioError(f"{conf_path}: no such file")
-    conf = _Conf(conf_path, _parse_conf(conf_path))
-
-    slots = conf.integer("horizon.slots", 24)
-    dt = conf.number("horizon.dt", 1.0)
-    days = conf.integer("days", 1)
-    n = slots * days
-
-    try:
-        tariff = Tariff(
-            alpha=conf.number("tariff.alpha", required=True),
-            beta=conf.number("tariff.beta", required=True),
-            pi_p2p=conf.number("tariff.pi_p2p", required=True),
-            pi_fit=conf.number("tariff.pi_fit", required=True),
-            pi_dr=conf.vector("tariff.pi_dr", n),
-            pi_as=conf.vector("tariff.pi_as", n))
-    except InvalidInput as exc:
-        raise ScenarioError(f"{conf_path}: tariff: {exc}")
-
-    algo = AlgoConfig(
-        rho=conf.number("algo.rho", 1.0),
-        eps1=conf.number("algo.eps1", 1e-6),
-        eps2=conf.number("algo.eps2", 1e-6),
-        max_iter=conf.integer("algo.max_iter", 2000),
-        trade_cap=conf.number("algo.trade_cap", None))
-    try:
-        net = NetConfig(
-            latency=conf.latency("net.latency", (1, 5)),
-            timeout=conf.integer("net.timeout", 50),
-            seed=conf.integer("net.seed", 0))
-    except SimError as exc:
-        raise ScenarioError(f"{conf_path}: net: {exc}")
-
-    ids = sorted({key.split(".")[1] for key in conf.entries
+    path = root / "scenario.conf"
+    if not path.exists():
+        raise ScenarioError(f"{path}: no such file")
+    entries = _parse_conf(path)
+    ids = sorted({key.split(".")[1] for key in entries
                   if key.startswith("user.")})
     if not ids:
-        raise ScenarioError(f"{conf_path}: no user.<id>.* entries")
-    users = []
-    for uid in ids:
-        users.append(_load_user(root, conf, uid, n))
-    try:
-        return Scenario(horizon=Horizon(slots=slots, dt=dt), days=days,
-                        users=users, tariff=tariff, algo=algo, net=net)
-    except InvalidInput as exc:
-        raise ScenarioError(f"{conf_path}: {exc}")
+        raise ScenarioError(f"{path}: no user.<id>.* entries")
+    section = partial(_section, path, entries)
+    horizon = section("horizon", Horizon)
+    days = _value(path, entries, "days", _int)
+    n = horizon.slots * days
+    rest = {name: section(name, cls, n) for name, cls in _SECTIONS[1:]}
+    users = [_load_user(root, section, uid, n) for uid in ids]
+    if entries:  # every key of the schema has been consumed
+        raise ScenarioError(f"{path}: unknown key {min(entries)}")
+    return Scenario(horizon=horizon, days=days, users=users, **rest)
 
 
-def _load_user(root: Path, conf: _Conf, uid: str, n: int) -> UserProfile:
+def _load_user(root: Path, section, uid: str, n: int) -> UserProfile:
     pre = f"user.{uid}"
-    traces = _read_traces(root / "users" / uid / "traces.csv", n)
-    t_init = conf.number(f"{pre}.ac.t_init")
-    if t_init is None:
-        t_init = float(traces["t_out"][0])
+    trace_path = root / "users" / uid / "traces.csv"
+    traces = _read_traces(trace_path, n)
+    # conf-only defaults: the room starts at the first outdoor
+    # temperature, and the flexible load may use any slot up to its total
+    ac = section(f"{pre}.ac", AcParams, t_init=float(traces["t_out"][0]))
+    flex = section(f"{pre}.flex", FlexParams, n,
+                   reference=traces["flex_ref"], lo=np.zeros(n),
+                   hi=lambda kw: np.full(n, kw["total"]))
+    battery = section(f"{pre}.battery", BatteryParams)
     try:
-        ac = AcParams(
-            r_thermal=conf.number(f"{pre}.ac.r_thermal", required=True),
-            c_thermal=conf.number(f"{pre}.ac.c_thermal", required=True),
-            gamma=conf.number(f"{pre}.ac.gamma", required=True),
-            tau=conf.number(f"{pre}.ac.tau", required=True),
-            t_min=conf.number(f"{pre}.ac.t_min", required=True),
-            t_max=conf.number(f"{pre}.ac.t_max", required=True),
-            omega_ac=conf.number(f"{pre}.ac.omega_ac", required=True),
-            t_init=t_init,
-            decay=conf.number(f"{pre}.ac.decay"))
-        total = conf.number(f"{pre}.flex.total", required=True)
-        flex = FlexParams(
-            total=total,
-            reference=traces["flex_ref"],
-            lo=conf.vector(f"{pre}.flex.lo", n, default=0.0),
-            hi=conf.vector(f"{pre}.flex.hi", n, default=total),
-            omega_fl=conf.number(f"{pre}.flex.omega_fl", required=True))
-        battery = BatteryParams(
-            capacity=conf.number(f"{pre}.battery.capacity", required=True),
-            max_charge=conf.number(f"{pre}.battery.max_charge",
-                                   required=True),
-            max_discharge=conf.number(f"{pre}.battery.max_discharge",
-                                      required=True),
-            eta=conf.number(f"{pre}.battery.eta", required=True),
-            omega_ba=conf.number(f"{pre}.battery.omega_ba", required=True),
-            b_init=conf.number(f"{pre}.battery.b_init"))
-        exo = ExogenousSeries(renewable_cap=traces["renewable_cap"],
-                              t_out=traces["t_out"],
-                              inflexible=traces["inflexible"])
-        return UserProfile(
-            user_id=uid,
-            fuse_limit=conf.number(f"{pre}.fuse_limit", required=True),
-            ac=ac, flex=flex, battery=battery, exo=exo)
+        exo = ExogenousSeries(**{f.name: traces[f.name]
+                                 for f in fields(ExogenousSeries)})
     except InvalidInput as exc:
-        raise ScenarioError(f"{conf.path}: user {uid}: {exc}")
+        raise ScenarioError(f"{trace_path}: {exc}")
+    return section(pre, UserProfile, user_id=uid, ac=ac, flex=flex,
+                   battery=battery, exo=exo)
 
 
 # ---------------------------------------------------------------------------
 # writing scenarios
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _text(value) -> str:
+    """A field value as its kind reads it back."""
+    if isinstance(value, np.ndarray):  # one number when constant
+        same = value.size and np.all(value == value[0])
+        return ",".join(map(repr, (value[:1] if same else value).tolist()))
+    if isinstance(value, tuple):  # a lo:hi latency range
+        return f"{value[0]}:{value[1]}"
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _fmt_vector(vec) -> str:
-    vec = np.asarray(vec, float)
-    if vec.size and np.all(vec == vec[0]):
-        return repr(float(vec[0]))
-    return ",".join(repr(float(x)) for x in vec)
+def _lines(prefix, obj) -> list:
+    """`<prefix>.<field> = value` for each key field of obj that is set."""
+    return [f"{prefix}.{f.name} = {_text(getattr(obj, f.name))}"
+            for f in fields(obj) if _kind(type(obj), f.name) is not None
+            and getattr(obj, f.name) is not None]
 
 
 def scenario_conf_text(sc: Scenario) -> str:
-    lines = [
-        "# scenario configuration",
-        f"horizon.slots = {sc.horizon.slots}",
-        f"horizon.dt = {_fmt(sc.horizon.dt)}",
-        f"days = {sc.days}",
-        "",
-        f"tariff.alpha = {_fmt(sc.tariff.alpha)}",
-        f"tariff.beta = {_fmt(sc.tariff.beta)}",
-        f"tariff.pi_p2p = {_fmt(sc.tariff.pi_p2p)}",
-        f"tariff.pi_fit = {_fmt(sc.tariff.pi_fit)}",
-        f"tariff.pi_dr = {_fmt_vector(sc.tariff.pi_dr)}",
-        f"tariff.pi_as = {_fmt_vector(sc.tariff.pi_as)}",
-        "",
-        f"algo.rho = {_fmt(sc.algo.rho)}",
-        f"algo.eps1 = {_fmt(sc.algo.eps1)}",
-        f"algo.eps2 = {_fmt(sc.algo.eps2)}",
-        f"algo.max_iter = {sc.algo.max_iter}",
-    ]
-    if sc.algo.trade_cap is not None:
-        lines.append(f"algo.trade_cap = {_fmt(sc.algo.trade_cap)}")
-    lat = sc.net.latency
-    lat_text = f"{lat[0]}:{lat[1]}" if isinstance(lat, tuple) else str(lat)
-    lines += [
-        "",
-        f"net.latency = {lat_text}",
-        f"net.timeout = {sc.net.timeout}",
-        f"net.seed = {sc.net.seed}",
-    ]
+    paragraphs = [["# scenario configuration",
+                   *_lines("horizon", sc.horizon), f"days = {sc.days}"]]
+    paragraphs += [_lines(name, getattr(sc, name))
+                   for name, _ in _SECTIONS[1:]]
     for u in sc.users:
         pre = f"user.{u.user_id}"
-        lines += [
-            "",
-            f"{pre}.fuse_limit = {_fmt(u.fuse_limit)}",
-            f"{pre}.ac.r_thermal = {_fmt(u.ac.r_thermal)}",
-            f"{pre}.ac.c_thermal = {_fmt(u.ac.c_thermal)}",
-            f"{pre}.ac.gamma = {_fmt(u.ac.gamma)}",
-            f"{pre}.ac.tau = {_fmt(u.ac.tau)}",
-            f"{pre}.ac.t_min = {_fmt(u.ac.t_min)}",
-            f"{pre}.ac.t_max = {_fmt(u.ac.t_max)}",
-            f"{pre}.ac.omega_ac = {_fmt(u.ac.omega_ac)}",
-            f"{pre}.ac.t_init = {_fmt(u.ac.t_init)}",
-            f"{pre}.ac.decay = {_fmt(u.ac.decay)}",
-            f"{pre}.flex.total = {_fmt(u.flex.total)}",
-            f"{pre}.flex.lo = {_fmt_vector(u.flex.lo)}",
-            f"{pre}.flex.hi = {_fmt_vector(u.flex.hi)}",
-            f"{pre}.flex.omega_fl = {_fmt(u.flex.omega_fl)}",
-            f"{pre}.battery.capacity = {_fmt(u.battery.capacity)}",
-            f"{pre}.battery.max_charge = {_fmt(u.battery.max_charge)}",
-            f"{pre}.battery.max_discharge = "
-            f"{_fmt(u.battery.max_discharge)}",
-            f"{pre}.battery.eta = {_fmt(u.battery.eta)}",
-            f"{pre}.battery.omega_ba = {_fmt(u.battery.omega_ba)}",
-            f"{pre}.battery.b_init = {_fmt(u.battery.b_init)}",
-        ]
-    return "\n".join(lines) + "\n"
+        paragraphs.append(_lines(pre, u) + [
+            line for name, _ in _DEVICES
+            for line in _lines(f"{pre}.{name}", getattr(u, name))])
+    return "\n\n".join("\n".join(p) for p in paragraphs) + "\n"
 
 
 def write_scenario(sc: Scenario, root):
@@ -363,12 +290,10 @@ def write_scenario(sc: Scenario, root):
         with open(udir / "traces.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(TRACE_COLUMNS)
-            ref = u.flex.reference
+            cols = [getattr(u.exo, f.name) for f in fields(ExogenousSeries)]
+            cols.append(u.flex.reference)
             for t in range(u.horizon):
-                writer.writerow([t, repr(float(u.exo.renewable_cap[t])),
-                                 repr(float(u.exo.t_out[t])),
-                                 repr(float(u.exo.inflexible[t])),
-                                 repr(float(ref[t]))])
+                writer.writerow([t] + [repr(float(c[t])) for c in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +369,7 @@ def gen_synthetic(seed: int, users: int = 10, days: int = 1,
     pi_dr = np.where((sod >= 18) & (sod <= 21), 1.3, 0.0)
     tariff = Tariff(alpha=1.0, beta=2.5, pi_p2p=0.6, pi_fit=0.25,
                     pi_dr=pi_dr, pi_as=np.full(n, 0.02))
-    return Scenario(horizon=Horizon(slots=slots, dt=1.0), days=days,
+    return Scenario(horizon=Horizon(slots=slots), days=days,
                     users=profiles, tariff=tariff,
                     algo=AlgoConfig(), net=NetConfig(seed=seed))
 
@@ -498,18 +423,14 @@ def write_results(out, schedules=None, sa_costs=None, co_costs=None,
 
 
 def _write_schedule_file(path, daily):
-    peers = sorted(daily[0].trades) if daily and daily[0].trades else []
-    header = list(SCHEDULE_COLUMNS) + [f"trade_{v}" for v in peers]
+    peers = sorted(daily[0].trades) if daily else []
+    header = ["day", "slot", *SLOT_FIELDS, "peak"] + [
+        f"trade_{v}" for v in peers]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for day, s in enumerate(daily):
-            H = len(s.g)
-            for t in range(H):
-                row = [day, t] + [
-                    repr(float(getattr(s, name)[t]))
-                    for name in ("g", "r", "l_ac", "l_fl", "c", "d",
-                                 "e_fit", "e_dr", "e_as")]
-                row.append(repr(float(s.peak)))
-                row += [repr(float(s.trades[v][t])) for v in peers]
-                writer.writerow(row)
+            cols = [getattr(s, name) for name in SLOT_FIELDS]
+            cols += [np.full(s.horizon, s.peak)] + [s.trades[v] for v in peers]
+            for t in range(s.horizon):
+                writer.writerow([day, t] + [repr(float(c[t])) for c in cols])

@@ -109,6 +109,16 @@ def test_exhausted_iteration_budget_exits_nonzero(pair_scenario, tmp_path,
     assert len(trace) == 2  # header plus the single iteration
 
 
+def test_empty_iteration_budget_is_a_clean_error(pair_scenario, tmp_path,
+                                                 capsys):
+    code = main(["run-co", "--scenario", str(pair_scenario),
+                 "--out", str(tmp_path / "results"), "--max-iter", "0"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: max_iter")
+    assert "Traceback" not in err
+
+
 def test_standalone_run_writes_schedules(pair_scenario, tmp_path, capsys):
     out = tmp_path / "results"
     assert main(["run-sa", "--scenario", str(pair_scenario),

@@ -31,7 +31,7 @@ def storage_scenario():
     user = storage_user()
     tariff = toy_tariff(8, pi_fit=0.05,
                         pi_as=[0.2] * 4 + [0.0] * 4)
-    return Scenario(horizon=Horizon(slots=4, dt=1.0), days=2,
+    return Scenario(horizon=Horizon(slots=4), days=2,
                     users=[user], tariff=tariff,
                     algo=AlgoConfig(), net=NetConfig())
 

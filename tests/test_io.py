@@ -1,18 +1,21 @@
 """Scenario files, synthetic generation, and result emission."""
 
 import csv
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import read_comparison
 
-from vppsim.coordinator import TraceRecord
+from vppsim.coordinator import AlgoConfig, TraceRecord
 from vppsim.experiment import run_sa
 from vppsim.model import Schedule
 from vppsim.scenario_io import (COMPARISON_COLUMNS, ScenarioError,
                                 gen_synthetic, load_scenario,
                                 scenario_conf_text, write_results,
                                 write_scenario)
+from vppsim.simnet import NetConfig
 
 
 def scenario_bytes(root):
@@ -152,6 +155,75 @@ def test_missing_required_key_is_an_error(tmp_path):
     with pytest.raises(ScenarioError) as err:
         load_scenario(tmp_path)
     assert "pi_p2p" in str(err.value)
+
+
+def test_absent_optional_keys_take_the_dataclass_defaults(tmp_path):
+    sc = gen_synthetic(seed=0, users=2)
+    write_scenario(sc, tmp_path)
+    conf = tmp_path / "scenario.conf"
+    optional = ("horizon.", "algo.", "net.", ".ac.t_init", ".ac.decay",
+                ".flex.lo", ".flex.hi", ".battery.b_init")
+    lines = [ln for ln in conf.read_text().splitlines()
+             if not any(part in ln.split(" = ")[0] for part in optional)]
+    conf.write_text("\n".join(lines) + "\n")
+    back = load_scenario(tmp_path)
+    assert back.horizon.slots == 24
+    assert back.algo == AlgoConfig()
+    assert back.net == NetConfig()
+    for orig, load in zip(sc.users, back.users):
+        assert load.battery.b_init == 0.5 * load.battery.capacity
+        assert load.ac.decay == math.exp(-1.0 / (load.ac.r_thermal
+                                                 * load.ac.c_thermal))
+        assert load.ac.t_init == orig.exo.t_out[0]
+        np.testing.assert_array_equal(load.flex.lo, np.zeros(24))
+        np.testing.assert_array_equal(load.flex.hi,
+                                      np.full(24, load.flex.total))
+
+
+@pytest.mark.parametrize("key", ["algo.rh0", "user.u01.battery.capcity",
+                                 "horizon.dt", "user.u01.flex.reference"])
+def test_unknown_key_names_the_file_and_the_key(tmp_path, key):
+    write_scenario(gen_synthetic(seed=0, users=2), tmp_path)
+    conf = tmp_path / "scenario.conf"
+    conf.write_text(conf.read_text() + f"{key} = 1.0\n")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(tmp_path)
+    assert "scenario.conf" in str(err.value)
+    assert f"unknown key {key}" in str(err.value)
+
+
+@pytest.mark.parametrize("line, named", [
+    ("algo.max_iter = 0", "algo"),
+    ("horizon.slots = 2.5", "horizon.slots"),
+    ("tariff.alpha = inf", "tariff.alpha"),
+    ("net.latency = 1:2:3", "net.latency"),
+    ("tariff.pi_dr = 1.0,2.0", "tariff.pi_dr"),
+    ("tariff.pi_as = nan", "tariff.pi_as"),
+])
+def test_bad_value_names_the_file_and_the_key(tmp_path, line, named):
+    write_scenario(gen_synthetic(seed=0, users=2), tmp_path)
+    conf = tmp_path / "scenario.conf"
+    key = line.split(" = ")[0]
+    lines = [ln for ln in conf.read_text().splitlines()
+             if not ln.startswith(key + " ")]
+    conf.write_text("\n".join(lines + [line]) + "\n")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(tmp_path)
+    assert "scenario.conf" in str(err.value)
+    assert named in str(err.value)
+
+
+def test_conf_round_trips_byte_for_byte(tmp_path):
+    sc = gen_synthetic(seed=2, users=3, days=2)
+    user = sc.users[1]
+    lo = np.linspace(0.0, 0.1, user.horizon)
+    sc = replace(sc, algo=replace(sc.algo, trade_cap=2.5),
+                 users=[sc.users[0], replace(user, flex=replace(
+                     user.flex, lo=lo)), sc.users[2]])
+    write_scenario(sc, tmp_path)
+    text = (tmp_path / "scenario.conf").read_text()
+    assert "algo.trade_cap = 2.5\n" in text
+    assert scenario_conf_text(load_scenario(tmp_path)) == text
 
 
 def test_missing_directory_is_an_error(tmp_path):
