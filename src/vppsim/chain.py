@@ -6,9 +6,10 @@ drains the pending transaction pool in (sender, nonce) order, and
 `apply_tx` is the only state transition, a pure function of the parent
 state and one ordered transaction.  The contract storage holds the
 trading coordination state (trades, auxiliary trades, multipliers, round
-counter) plus token balances, and its digest is committed in each block
-as the state root, so the whole history can be replayed and byte-checked
-from the log alone.
+counter) plus token balances.  Each block commits a digest of the
+storage's binary encoding as the state root, and the log carries the
+genesis storage as JSON, so the whole history can be replayed and
+byte-checked from the log alone.
 
 There is no cryptography here beyond content digests: sender identity is
 taken at face value, which is the appropriate level of fidelity for a
@@ -88,20 +89,30 @@ class CorruptionError(ChainError):
 # canonical serialization
 # ---------------------------------------------------------------------------
 
+# the leaf types of a JSON value that need no conversion and no copy
+_SCALARS = frozenset({float, int, str, bool, type(None)})
+
+
 def _plain(obj):
-    """Recursively convert to plain JSON-encodable python values."""
+    """A transaction payload as plain JSON values (dicts, lists, numbers,
+    strings) that share no mutable part with obj."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if isinstance(obj, (list, tuple)):
+        if _SCALARS.issuperset(map(type, obj)):
+            return list(obj)
         return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if obj is None or isinstance(obj, (str, bool)):
-        return obj
+    return obj
+
+
+def _leaf(obj):
+    """The JSON encoder's fallback: numpy arrays and scalars as numbers."""
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "fiu":
+        return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
     raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
@@ -110,9 +121,10 @@ def canonical(obj) -> bytes:
 
     Python's json encoder renders floats with repr, which round-trips
     float64 exactly, so equal states always produce identical bytes.
+    The C encoder does all the recursion; numpy values reach `_leaf`.
     """
-    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"),
-                      allow_nan=False).encode()
+    return json.dumps(obj, default=_leaf, sort_keys=True,
+                      separators=(",", ":"), allow_nan=False).encode()
 
 
 def digest(obj) -> str:
@@ -288,7 +300,29 @@ class ContractState:
         }
 
     def root(self) -> str:
-        return digest(self.payload())
+        """SHA-256 of a typed binary encoding of the state.
+
+        A length-prefixed canonical-JSON header (users, horizon, rho,
+        round, balances, submitted users and the sorted (user, key,
+        length) layout of the service vectors), then the big-endian
+        float64 bytes of trades, aux and mult over the ordered pairs in
+        `_pair_layout` order, then each service vector in layout order.
+        The header fixes every length, so distinct states (signed zeros
+        included) give distinct bytes, without printing a float.
+        """
+        layout = sorted((u, k, len(v)) for u, s in self.services.items()
+                        for k, v in s.items())
+        header = canonical({
+            "users": self.users, "horizon": self.horizon, "rho": self.rho,
+            "round": self.round, "balances": self.balances,
+            "submitted": sorted(self.submitted), "services": layout})
+        h = hashlib.sha256(struct.pack(">I", len(header)) + header)
+        _, off = _pair_layout(self.users)
+        for arr in (self.trades, self.aux, self.mult):
+            h.update(arr[off].astype(">f8").tobytes())
+        for u, k, _ in layout:
+            h.update(np.asarray(self.services[u][k], ">f8").tobytes())
+        return h.hexdigest()
 
     def copy(self) -> "ContractState":
         return copy.deepcopy(self)

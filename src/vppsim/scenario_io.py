@@ -187,6 +187,8 @@ def _read_traces(path: Path, expected_len: int):
                 rows.append([float(c) for c in row])
             except ValueError:
                 raise ScenarioError(f"{path}:{lineno}: non-numeric cell")
+            if not all(map(math.isfinite, rows[-1])):
+                raise ScenarioError(f"{path}:{lineno}: non-finite cell")
     if len(rows) != expected_len:
         raise ScenarioError(
             f"{path}: {len(rows)} data rows, expected slots*days = "
@@ -218,6 +220,8 @@ def load_scenario(root) -> Scenario:
     section = partial(_section, path, entries)
     horizon = section("horizon", Horizon)
     days = _value(path, entries, "days", _int)
+    if days < 1:
+        raise ScenarioError(f"{path}: days: must be >= 1, got {days}")
     n = horizon.slots * days
     rest = {name: section(name, cls, n) for name, cls in _SECTIONS[1:]}
     users = [_load_user(root, section, uid, n) for uid in ids]

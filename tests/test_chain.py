@@ -1,12 +1,14 @@
 """Ledger mechanics: transactions, blocks, settlement, replay."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 from conftest import toy_tariff
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vppsim.chain import (Chain, ChainError, ContractError, ContractState,
                           CorruptionError, ProposerError, SettlementError,
@@ -45,8 +47,74 @@ def test_canonical_bytes_are_sorted_and_stable():
 
 
 def test_canonical_rejects_non_finite_values():
-    with pytest.raises(ValueError):
-        canonical({"x": float("nan")})
+    for bad in (float("nan"), np.float64("inf"), np.array([0.0, np.nan])):
+        with pytest.raises(ValueError):
+            canonical({"x": bad})
+
+
+def test_canonical_refuses_other_types():
+    for bad in (object(), np.array(["s"]), np.array([True]), 1j):
+        with pytest.raises(TypeError, match="cannot canonicalize"):
+            canonical({"x": bad})
+
+
+def _reference_plain(obj):
+    """canonical's input conversion before the C encoder took over the
+    walk, kept verbatim as the reference for its bytes."""
+    if isinstance(obj, dict):
+        return {str(k): _reference_plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_reference_plain(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if obj is None or isinstance(obj, (str, bool)):
+        return obj
+    raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+
+
+def _reference_canonical(obj) -> bytes:
+    return json.dumps(_reference_plain(obj), sort_keys=True,
+                      separators=(",", ":"), allow_nan=False).encode()
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_finite32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
+_shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+# Bools are left out: no caller passes one, and the reference turned True
+# into 1 where the JSON encoder writes true.
+_leaves = st.one_of(
+    st.none(), st.text(max_size=6), st.integers(), _finite,
+    st.just(-0.0), _finite.map(np.float64), _finite32.map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.integers(-2 ** 31, 2 ** 31 - 1).map(np.int32),
+    hnp.arrays(np.float64, _shapes, elements=_finite),
+    hnp.arrays(np.float32, _shapes, elements=_finite32),
+    hnp.arrays(np.int64, _shapes), hnp.arrays(np.int32, _shapes))
+_values = st.recursive(_leaves, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+def test_canonical_matches_the_recursive_reference(obj):
+    assert canonical(obj) == _reference_canonical(obj)
+    assert canonical({"v": obj}) == _reference_canonical({"v": obj})
+
+
+def test_record_shares_no_mutable_part_with_the_transaction():
+    tx = trading_tx("u", 0, {"v": np.array([0.5, -0.0]),
+                             "w": np.array([1.0, 2.0])})
+    record = tx.to_record()
+    record["payload"]["trades"]["v"][0] = 9.0
+    record["payload"]["trades"]["w"] = []
+    assert tx.payload["trades"] == {"v": [0.5, -0.0], "w": [1.0, 2.0]}
+    assert tx.txid == _tx_id(tx.sender, tx.nonce, tx.kind, tx.payload)
 
 
 def test_digest_is_plain_sha256_of_the_bytes():
@@ -232,8 +300,8 @@ def test_contract_matches_coordinator_bit_for_bit():
 
 def test_fixed_history_has_a_pinned_state_root():
     # Two scripted trading rounds and one transfer; no QP runs, so the
-    # root depends on nothing but the contract arithmetic and the record
-    # format.  Slot 0 trades exactly +0.0 both ways, which leaves +0.0
+    # root depends on nothing but the contract arithmetic and the state
+    # encoding.  Slot 0 trades exactly +0.0 both ways, which leaves +0.0
     # above and -0.0 below the diagonal of the auxiliary trades: the root
     # pins that sign.
     users = ["a", "b", "c"]
@@ -249,9 +317,81 @@ def test_fixed_history_has_a_pinned_state_root():
     chain.produce_block("a0")
     assert chain.state().round == 2
     assert chain.blocks[-1].state_root == (
-        "6f77d6ef4a1d5549bac0ca14401e710dc7e922272c55b96d36f60cdf327d7743")
+        "495ce4451c6be7f1db164f5f61ed7788213308ba984681902935e6249f664f76")
     assert chain.tip() == (
-        "2c82952df48e4226b1cf8461d4d5c69c8e727075c9cf759e7c7545bab045941c")
+        "66dbb082b6029b49dddf66cdc8e8f6a2a4e48cce3949544c2ebe223b2188a82a")
+    state = chain.state()
+    assert np.signbit(state.aux[1, 0, 0])
+    assert not np.signbit(state.aux[0, 1, 0])
+    state.aux[1, 0, 0] = 0.0
+    assert state.root() != chain.blocks[-1].state_root
+
+
+def _rich_state():
+    """A state with every field the root covers set to something nonzero,
+    plus one +0.0 in aux and one -0.0 in a service vector."""
+    rng = np.random.default_rng(3)
+    state = ContractState(["a", "b", "c"], 3, 1.5,
+                          {"a": 10.0, "b": 5.25, "operator": 1e6})
+    off = ~np.eye(3, dtype=bool)
+    for arr in (state.trades, state.aux, state.mult):
+        arr[off] = rng.normal(size=(6, 3))
+    state.aux[0, 2, 1] = 0.0
+    state.services = {"a": {"e_fit": rng.normal(size=3),
+                            "e_dr": np.array([0.5, -0.0, 1.0]),
+                            "e_as": rng.normal(size=3)},
+                      "c": {"e_fit": np.zeros(3), "e_dr": np.zeros(3),
+                            "e_as": np.ones(3)}}
+    state.round = 4
+    state.submitted = {"b"}
+    return state
+
+
+def _nudge(get, idx):
+    def edit(state):
+        arr = get(state)
+        arr[idx] = np.nextafter(arr[idx], np.inf)
+    return edit
+
+
+def _set(attr, value):
+    return lambda state: setattr(state, attr, value)
+
+
+ROOT_EDITS = {
+    "trades first pair": _nudge(lambda s: s.trades, (0, 1, 0)),
+    "trades last pair": _nudge(lambda s: s.trades, (2, 1, 2)),
+    "aux": _nudge(lambda s: s.aux, (1, 2, 1)),
+    "mult": _nudge(lambda s: s.mult, (2, 0, 0)),
+    "service value": _nudge(lambda s: s.services["c"]["e_as"], 2),
+    "balance": lambda s: s.balances.update(b=5.5),
+    "rho": _set("rho", np.nextafter(1.5, 2.0)),
+    "round": _set("round", 5),
+    "submitted": _set("submitted", {"b", "c"}),
+    "sign of an aux zero": lambda s: s.aux.__setitem__((0, 2, 1), -0.0),
+    "sign of a service zero": lambda s: s.services["a"]["e_dr"].__setitem__(
+        1, 0.0),
+    "service moved to another key": lambda s: s.services.update(
+        c={"e_fit": np.zeros(3), "e_dr": np.ones(3), "e_as": np.zeros(3)}),
+    # the same bytes cut at other lengths
+    "service lengths": lambda s: s.services.update(
+        c={"e_fit": np.zeros(2), "e_dr": np.zeros(4), "e_as": np.ones(3)}),
+}
+
+
+def test_root_changes_with_any_one_field():
+    base = _rich_state()
+    roots = {}
+    for name, edit in ROOT_EDITS.items():
+        state = _rich_state()
+        edit(state)
+        roots[name] = state.root()
+        # the log's JSON keeps every bit the root covers
+        assert ContractState.from_payload(state.payload()).root() \
+            == roots[name], name
+    assert base.root() == _rich_state().root()
+    assert base.root() not in roots.values()
+    assert len(set(roots.values())) == len(roots)
 
 
 def test_read_is_the_only_direct_contract_call():

@@ -123,6 +123,29 @@ def test_truncated_trace_names_the_file(tmp_path):
     assert "u01" in str(err.value)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_trace_cell_names_the_line(tmp_path, cell):
+    write_scenario(gen_synthetic(seed=0, users=2), tmp_path)
+    trace = tmp_path / "users" / "u01" / "traces.csv"
+    lines = trace.read_text().splitlines()
+    row = lines[4].split(",")
+    row[1] = cell  # a renewable cell
+    lines[4] = ",".join(row)
+    trace.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(tmp_path)
+    assert str(err.value) == f"{trace}:5: non-finite cell"
+
+
+def test_zero_days_names_the_days_key(tmp_path):
+    write_scenario(gen_synthetic(seed=0, users=2), tmp_path)
+    conf = tmp_path / "scenario.conf"
+    conf.write_text(conf.read_text().replace("days = 1", "days = 0"))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(tmp_path)
+    assert str(err.value) == f"{conf}: days: must be >= 1, got 0"
+
+
 def test_missing_column_names_the_file(tmp_path):
     write_scenario(gen_synthetic(seed=0, users=2), tmp_path)
     trace = tmp_path / "users" / "u02" / "traces.csv"
