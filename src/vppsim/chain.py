@@ -22,7 +22,7 @@ import json
 import struct
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .model import Schedule, Tariff
 TX_SERVICE = "service"
 TX_TRADING = "trading"
 TX_TRANSFER = "transfer"
-TX_KINDS = (TX_SERVICE, TX_TRADING, TX_TRANSFER)
 
 RECORD_GENESIS = "genesis"
 RECORD_BLOCK = "block"
@@ -91,6 +90,8 @@ class CorruptionError(ChainError):
 
 # the leaf types of a JSON value that need no conversion and no copy
 _SCALARS = frozenset({float, int, str, bool, type(None)})
+# the number types of a plain payload (no NaN or inf: it would have no id)
+_NUMBERS = frozenset({float, int})
 
 
 def _plain(obj):
@@ -141,16 +142,20 @@ def pair_key(u: str, v: str) -> str:
 
 @dataclass(frozen=True)
 class Transaction:
+    """A transaction; its id is derived here from its content, never given."""
     sender: str
     nonce: int
     kind: str
     payload: dict
-    txid: str
+    txid: str = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "payload", _plain(self.payload))
+        object.__setattr__(self, "txid", _tx_id(self.sender, self.nonce,
+                                                self.kind, self.payload))
 
     def to_record(self) -> dict:
-        return {"sender": self.sender, "nonce": self.nonce,
-                "kind": self.kind, "payload": _plain(self.payload),
-                "txid": self.txid}
+        return {**vars(self), "payload": _plain(self.payload)}
 
 
 def _tx_id(sender, nonce, kind, payload) -> str:
@@ -158,30 +163,23 @@ def _tx_id(sender, nonce, kind, payload) -> str:
                    "payload": payload})
 
 
-def make_tx(sender: str, nonce: int, kind: str, payload: dict) -> Transaction:
-    payload = _plain(payload)
-    return Transaction(sender=sender, nonce=int(nonce), kind=kind,
-                       payload=payload,
-                       txid=_tx_id(sender, int(nonce), kind, payload))
-
-
 def service_tx(sender, nonce, e_fit, e_dr, e_as) -> Transaction:
     payload = {"e_fit": np.asarray(e_fit, float),
                "e_dr": np.asarray(e_dr, float),
                "e_as": np.asarray(e_as, float)}
-    return make_tx(sender, nonce, TX_SERVICE, payload)
+    return Transaction(sender, int(nonce), TX_SERVICE, payload)
 
 
 def trading_tx(sender, nonce, trades: dict) -> Transaction:
     payload = {"user": sender,
                "trades": {v: np.asarray(vec, float)
                           for v, vec in sorted(trades.items())}}
-    return make_tx(sender, nonce, TX_TRADING, payload)
+    return Transaction(sender, int(nonce), TX_TRADING, payload)
 
 
 def transfer_tx(sender, nonce, to, amount) -> Transaction:
-    return make_tx(sender, nonce, TX_TRANSFER,
-                   {"from": sender, "to": to, "amount": float(amount)})
+    return Transaction(sender, int(nonce), TX_TRANSFER,
+                       {"from": sender, "to": to, "amount": float(amount)})
 
 
 @dataclass(frozen=True)
@@ -191,18 +189,17 @@ class Block:
     proposer: str
     txs: tuple
     state_root: str
-    digest: str
+    digest: str = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "digest", digest({
+            "height": self.height, "parent": self.parent,
+            "proposer": self.proposer, "txids": [t.txid for t in self.txs],
+            "state_root": self.state_root}))
 
     def to_record(self) -> dict:
-        return {"type": RECORD_BLOCK, "height": self.height,
-                "parent": self.parent, "proposer": self.proposer,
-                "txs": [t.to_record() for t in self.txs],
-                "state_root": self.state_root, "digest": self.digest}
-
-
-def _block_digest(height, parent, proposer, txids, state_root) -> str:
-    return digest({"height": height, "parent": parent, "proposer": proposer,
-                   "txids": list(txids), "state_root": state_root})
+        return {"type": RECORD_BLOCK, **vars(self),
+                "txs": [t.to_record() for t in self.txs]}
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +447,7 @@ class Chain:
             if tx.nonce <= last:
                 raise TxRejected(
                     f"nonce {tx.nonce} for {tx.sender} not above {last}")
-            if tx.kind not in TX_KINDS:
-                raise TxRejected(f"unknown transaction kind {tx.kind!r}")
             self._validate_payload(tx)
-            if tx.txid != _tx_id(tx.sender, tx.nonce, tx.kind, tx.payload):
-                raise TxRejected("transaction id does not match content")
             self._nonces[tx.sender] = tx.nonce
             self._pool.append(tx)
             return tx.txid
@@ -468,7 +461,7 @@ class Chain:
                 raise TxRejected("transfer source must be the sender")
             if p["to"] not in self._accounts:
                 raise TxRejected(f"unknown transfer recipient {p['to']!r}")
-            if not np.isfinite(p["amount"]) or p["amount"] < 0:
+            if type(p["amount"]) not in _NUMBERS or p["amount"] < 0:
                 raise TxRejected(f"bad transfer amount {p['amount']!r}")
         elif tx.kind == TX_TRADING:
             if set(p) != {"user", "trades"}:
@@ -487,12 +480,15 @@ class Chain:
             if tx.sender not in self._state.users:
                 raise TxRejected("service sender is not a user")
             self._check_vectors("service vector", p)
+        else:
+            raise TxRejected(f"unknown transaction kind {tx.kind!r}")
 
     def _check_vectors(self, what: str, vectors: dict):
         H = self._state.horizon
         for key, vec in vectors.items():
-            if len(vec) != H or not np.all(np.isfinite(vec)):
-                raise TxRejected(f"{what} {key} must hold {H} finite values")
+            if not (isinstance(vec, list) and len(vec) == H
+                    and _NUMBERS.issuperset(map(type, vec))):
+                raise TxRejected(f"{what} {key} must hold {H} numbers")
 
     def produce_block(self, proposer: str) -> Block:
         """Seal the pool into the next block.
@@ -515,10 +511,8 @@ class Chain:
                 except ContractError as exc:
                     self._pool.remove(tx)
                     raise TxFailed(tx, exc) from exc
-            root, parent = work.root(), self.tip()
-            block = Block(self.height, parent, proposer, tuple(txs), root,
-                          _block_digest(self.height, parent, proposer,
-                                        [t.txid for t in txs], root))
+            block = Block(self.height, self.tip(), proposer, tuple(txs),
+                          work.root())
             self._state = work
             self._pool = []
             self.blocks.append(block)
@@ -655,10 +649,10 @@ def replay(source) -> ContractState:
                 raise CorruptionError(
                     height, f"proposer {record['proposer']!r} is not the "
                     f"scheduled {expected!r}")
-            txs = [Transaction(**raw) for raw in record["txs"]]
-            for tx in txs:
-                if tx.txid != _tx_id(tx.sender, tx.nonce, tx.kind,
-                                     tx.payload):
+            txs = []
+            for raw in record["txs"]:
+                tx = Transaction(**{k: raw[k] for k in raw if k != "txid"})
+                if tx.txid != raw["txid"]:
                     raise CorruptionError(height, "transaction id mismatch "
                                           f"for {tx.sender}:{tx.nonce}")
                 try:
@@ -667,14 +661,14 @@ def replay(source) -> ContractState:
                     raise CorruptionError(
                         height, f"transaction {tx.sender}:{tx.nonce} does "
                         f"not apply ({exc})") from exc
-            root = state.root()
-            if root != record["state_root"]:
+                txs.append(tx)
+            block = Block(height, parent, record["proposer"], tuple(txs),
+                          state.root())
+            if block.state_root != record["state_root"]:
                 raise CorruptionError(height, "state root mismatch")
-            seal = _block_digest(height, parent, record["proposer"],
-                                 [t.txid for t in txs], root)
-            if seal != record["digest"]:
+            if block.digest != record["digest"]:
                 raise CorruptionError(height, "block digest mismatch")
-            parent = record["digest"]
+            parent = block.digest
         height += 1
     return state
 

@@ -47,6 +47,8 @@ def _vec(x, name, length=None):
         raise DimensionError(f"{name}: expected 1-D vector, got shape {v.shape}")
     if length is not None and v.size != length:
         raise DimensionError(f"{name}: expected length {length}, got {v.size}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidInput(f"{name}: values must be finite")
     return v
 
 

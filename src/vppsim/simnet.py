@@ -8,6 +8,9 @@ arrives, and the block application triggers the dual update.  A fixed
 seed fixes every latency draw, so at a fixed BLAS thread count (see
 qp.py) the full tick-by-tick event log is reproducible; arrival order
 never matters because the update only runs on the complete trade map.
+Every event ref is an address in the chain log: `deliver` names the tip
+(block digest or genesis root) the dual slice was read from; `solve`,
+`arrive` and `service` a txid; `block` and `settle` (or "none") a block.
 """
 
 import heapq
@@ -15,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import OPERATOR, Chain, digest, service_tx, trading_tx
+# digest stays bound here: perfbench's tracer test wraps it in this module
+from .chain import OPERATOR, Chain, digest, service_tx, trading_tx  # noqa
 from .coordinator import AlgoConfig, DualState, LocalTransport
 from .model import Tariff
 
@@ -132,10 +136,10 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
         tick, _, _, kind, u = heapq.heappop(heap)
         if kind == "deliver":
             dual = chain.contract_call("read_dual", user=u)
-            log.append(EventRecord(tick, "deliver", u, digest(dual.aux)))
-            per_peer = agents[u].solve_round(dual)
-            log.append(EventRecord(tick, "solve", u, digest(per_peer)))
-            tx = trading_tx(u, chain.next_nonce(u), per_peer)
+            log.append(EventRecord(tick, "deliver", u, chain.tip()))
+            tx = trading_tx(u, chain.next_nonce(u),
+                            agents[u].solve_round(dual))
+            log.append(EventRecord(tick, "solve", u, tx.txid))
             arrival = tick + up_lat[u]
             if arrival > deadline:
                 raise RoundTimeout(u, deadline)

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vppsim.chain import (Chain, ChainError, ContractError, ContractState,
-                          CorruptionError, ProposerError, SettlementError,
-                          Transaction, TxFailed, TxRejected, _tx_id,
-                          canonical, digest, dump_text, load_log, make_tx,
+from vppsim.chain import (Block, Chain, ChainError, ContractError,
+                          ContractState, CorruptionError, ProposerError,
+                          SettlementError, Transaction, TxFailed, TxRejected,
+                          _tx_id, canonical, digest, dump_text, load_log,
                           pair_key, replay, service_tx, trading_tx,
                           transfer_tx)
 from vppsim.cli import main
@@ -129,21 +129,25 @@ def test_pair_key_round_trip():
 
 
 def test_tx_id_tracks_content():
-    a = make_tx("u", 0, "transfer", {"from": "u", "to": "v", "amount": 1.0})
-    b = make_tx("u", 0, "transfer", {"from": "u", "to": "v", "amount": 1.0})
-    c = make_tx("u", 0, "transfer", {"from": "u", "to": "v", "amount": 2.0})
-    assert a.txid == b.txid
-    assert a.txid != c.txid
+    def transfer(amount):
+        return Transaction("u", 0, "transfer",
+                           {"from": "u", "to": "v", "amount": amount})
+    assert transfer(1.0).txid == transfer(1.0).txid
+    assert transfer(1.0).txid != transfer(2.0).txid
 
 
-def test_tampered_tx_is_rejected():
-    chain = small_chain()
+def test_transaction_derives_its_own_id():
     good = transfer_tx("u", 0, "v", 1.0)
-    forged = Transaction(sender="u", nonce=0, kind="transfer",
-                         payload={"from": "u", "to": "v", "amount": 99.0},
-                         txid=good.txid)
-    with pytest.raises(TxRejected):
-        chain.submit_tx(forged)
+    with pytest.raises(TypeError):
+        Transaction(sender="u", nonce=0, kind="transfer",
+                    payload={"from": "u", "to": "v", "amount": 99.0},
+                    txid=good.txid)
+    payload = {"from": "u", "to": "v", "amount": 1.0}
+    assert good.txid == _tx_id("u", 0, "transfer", payload)
+    assert good.payload == payload
+    # no id exists for non-finite content, so no such transaction either
+    with pytest.raises(ValueError):
+        transfer_tx("u", 0, "v", float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +192,18 @@ def test_only_the_scheduled_proposer_may_seal():
     assert (b0.height, b1.height) == (0, 1)
     assert b1.parent == b0.digest
     assert chain.scheduled_proposer() == "a0"
+
+
+def test_block_derives_its_own_digest():
+    chain = small_chain()
+    chain.submit_tx(transfer_tx("u", 0, "v", 1.0))
+    block = chain.produce_block("a0")
+    fields = (block.height, block.parent, block.proposer, block.txs,
+              block.state_root)
+    assert Block(*fields).digest == block.digest
+    with pytest.raises(TypeError):
+        Block(*fields, block.digest)
+    assert Block(1, *fields[1:]).digest != block.digest
 
 
 def test_empty_block_leaves_the_state_root_alone():
@@ -241,6 +257,26 @@ def test_failed_transaction_leaves_the_pool():
     block = chain.produce_block("a0")
     assert [(tx.sender, tx.nonce) for tx in block.txs] == [("v", 0)]
     assert chain.state().balances["u"] == 101.0
+
+
+@pytest.mark.parametrize("kind, payload, named", [
+    ("trading", {"user": "u", "trades": {"v": ["a", "b"]}}, "trade vector"),
+    ("trading", {"user": "u", "trades": {"v": 5.0}}, "trade vector"),
+    ("trading", {"user": "u", "trades": {"v": [[0.0], [1.0, 2.0]]}},
+     "trade vector"),
+    ("trading", {"user": "u", "trades": {"v": [True, False]}},
+     "trade vector"),
+    ("transfer", {"from": "u", "to": "v", "amount": "x"}, "transfer amount"),
+    ("transfer", {"from": "u", "to": "v", "amount": None},
+     "transfer amount"),
+    ("service", {"e_fit": [None, 0.0], "e_dr": [0.0, 0.0],
+                 "e_as": [0.0, 0.0]}, "service vector e_fit"),
+    ("bogus", {}, "unknown transaction kind")])
+def test_bad_payload_gets_a_named_rejection(kind, payload, named):
+    chain = small_chain()
+    with pytest.raises(TxRejected, match=named):
+        chain.submit_tx(Transaction("u", 0, kind, payload))
+    assert chain.next_nonce("u") == 0
 
 
 def test_trading_payload_must_cover_exactly_the_peers():
@@ -631,6 +667,22 @@ def test_transaction_that_cannot_apply_is_corruption_at_its_height():
         replay(chain.records)
     assert err.value.height == 0
     assert "u:1 does not apply" in str(err.value)
+
+
+def test_edited_transaction_is_an_id_mismatch_at_its_height(tmp_path):
+    chain = small_chain()
+    run_small_session(chain)
+    path = tmp_path / "chain.log"
+    chain.save_log(path)
+    raw = path.read_bytes()
+    # same length, so the record's prefix still holds; the txid is kept
+    assert raw.count(b'"amount":3.0') == 1
+    (tmp_path / "edited.log").write_bytes(
+        raw.replace(b'"amount":3.0', b'"amount":4.0'))
+    with pytest.raises(CorruptionError, match="transaction id mismatch "
+                       "for u:1") as err:
+        replay(tmp_path / "edited.log")
+    assert err.value.height == 1
 
 
 def test_text_dump_covers_every_record(tmp_path):

@@ -212,6 +212,29 @@ def test_sa_and_co_agree_when_trades_are_zero():
         cost_breakdown(s_sa, p, tar, SA).total, abs=1e-12)
 
 
+_NAN, _INF = float("nan"), float("inf")
+_NON_FINITE = [
+    (lambda: ExogenousSeries(renewable_cap=[_NAN, 1.0], t_out=[20.0, 20.0],
+                             inflexible=[0.0, 0.0]), "renewable_cap"),
+    (lambda: ExogenousSeries(renewable_cap=[0.0, 1.0], t_out=[20.0, _INF],
+                             inflexible=[0.0, 0.0]), "t_out"),
+    (lambda: ExogenousSeries(renewable_cap=[0.0, 1.0], t_out=[20.0, 20.0],
+                             inflexible=[-_INF, 0.0]), "inflexible"),
+    (lambda: FlexParams(total=1.0, reference=[_NAN, 0.0], lo=[0.0, 0.0],
+                        hi=[1.0, 1.0], omega_fl=0.1), "flex.reference"),
+    (lambda: FlexParams(total=1.0, reference=[0.0, 0.0], lo=[0.0, 0.0],
+                        hi=[_NAN, 1.0], omega_fl=0.1), "flex.hi"),
+    (lambda: toy_tariff(1, pi_dr=[_NAN]), "pi_dr"),
+    (lambda: toy_tariff(2, pi_as=[0.0, _INF]), "pi_as")]
+
+
+@pytest.mark.parametrize("build, field", _NON_FINITE,
+                         ids=[field for _, field in _NON_FINITE])
+def test_non_finite_vector_names_its_field(build, field):
+    with pytest.raises(InvalidInput, match=f"^{field}: values must be finite"):
+        build()
+
+
 def test_dimension_mismatch_raises():
     p = toy_profile(H=4)
     with pytest.raises(DimensionError):

@@ -8,6 +8,7 @@ from vppsim.agent import AgentRuntime
 from vppsim.chain import Chain
 from vppsim.coordinator import (AlgoConfig, LocalTransport,
                                 run_decentralized, stack_trades)
+from vppsim.experiment import run_co
 from vppsim.scenario_io import gen_synthetic
 from vppsim.simnet import (ChainTransport, NetConfig, RoundTimeout,
                            SimError, run_round, write_events)
@@ -185,6 +186,24 @@ def test_finalize_records_services_then_settles(tmp_path):
     assert lines[0] == "# tick\tkind\tnode\tref"
     assert len(lines) == len(transport.events) + 1
     assert all(len(ln.split("\t")) == 4 for ln in lines[1:])
+
+
+def test_every_event_ref_names_an_address_in_the_days_chain_log():
+    sc = gen_synthetic(seed=1, users=2, slots=8, complementary=True)
+    run = run_co(sc)
+    assert run.converged and len(run.transports) == sc.days
+    for transport in run.transports:
+        genesis, *blocks = transport.chain.records
+        digests = {b["digest"] for b in blocks}
+        txids = {tx["txid"] for b in blocks for tx in b["txs"]}
+        names = {"deliver": digests | {genesis["state_root"]},
+                 "solve": txids, "arrive": txids, "service": txids,
+                 "block": digests, "settle": digests | {"none"}}
+        assert {ev.kind for ev in transport.events} == set(names)
+        assert all(ev.ref in names[ev.kind] for ev in transport.events)
+        # the first delivery reads the genesis state
+        first = next(ev for ev in transport.events if ev.kind == "deliver")
+        assert first.ref == genesis["state_root"]
 
 
 def test_event_writer_round_trips_fields(tmp_path):
