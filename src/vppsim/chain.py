@@ -20,7 +20,6 @@ import copy
 import hashlib
 import json
 import struct
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -379,7 +378,8 @@ class Chain:
     pooled transactions to a copy of the committed state, and settlement
     checks its batch the same way before submitting it.  The genesis
     record and the blocks append to an in-memory log that save_log
-    persists as length-prefixed canonical JSON.
+    persists as length-prefixed canonical JSON.  The simulation drives a
+    chain from one thread; it takes no lock.
     """
 
     def __init__(self, users, authorities, horizon: int, rho: float = 1.0):
@@ -398,7 +398,6 @@ class Chain:
         self._nonces: dict[str, int] = {}
         self._authorities = tuple(authorities)
         self._pool: list[Transaction] = []
-        self._lock = threading.Lock()
         self.blocks: list[Block] = []
         self.records: list[dict] = [{
             "type": RECORD_GENESIS,
@@ -416,16 +415,14 @@ class Chain:
 
     def state(self) -> ContractState:
         """Snapshot of committed contract storage."""
-        with self._lock:
-            return self._state.copy()
+        return self._state.copy()
 
     def contract_call(self, fn: str, **kwargs):
         """Read-only contract access against committed state."""
         if fn != "read_dual":
             raise ContractError(
                 f"{fn} mutates state and must go through transactions")
-        with self._lock:
-            return self._state.read_dual(**kwargs)
+        return self._state.read_dual(**kwargs)
 
     def tip(self) -> str:
         return self.blocks[-1].digest if self.blocks \
@@ -440,31 +437,35 @@ class Chain:
     # -- write side -------------------------------------------------------
 
     def submit_tx(self, tx: Transaction) -> str:
-        with self._lock:
-            if tx.sender not in self._accounts:
-                raise TxRejected(f"unknown sender {tx.sender!r}")
-            last = self._nonces.get(tx.sender, -1)
-            if tx.nonce <= last:
-                raise TxRejected(
-                    f"nonce {tx.nonce} for {tx.sender} not above {last}")
-            self._validate_payload(tx)
-            self._nonces[tx.sender] = tx.nonce
-            self._pool.append(tx)
-            return tx.txid
+        if not isinstance(tx.sender, str) or tx.sender not in self._accounts:
+            raise TxRejected(f"unknown sender {tx.sender!r}")
+        if type(tx.nonce) is not int:
+            raise TxRejected(f"nonce {tx.nonce!r} is not an integer")
+        last = self._nonces.get(tx.sender, -1)
+        if tx.nonce <= last:
+            raise TxRejected(
+                f"nonce {tx.nonce} for {tx.sender} not above {last}")
+        self._validate_payload(tx)
+        self._nonces[tx.sender] = tx.nonce
+        self._pool.append(tx)
+        return tx.txid
 
     def _validate_payload(self, tx: Transaction):
         p = tx.payload
+        if not isinstance(p, dict):
+            raise TxRejected(f"{tx.kind} payload is not an object")
         if tx.kind == TX_TRANSFER:
             if set(p) != {"from", "to", "amount"}:
                 raise TxRejected("malformed transfer payload")
             if p["from"] != tx.sender:
                 raise TxRejected("transfer source must be the sender")
-            if p["to"] not in self._accounts:
+            if not isinstance(p["to"], str) or p["to"] not in self._accounts:
                 raise TxRejected(f"unknown transfer recipient {p['to']!r}")
             if type(p["amount"]) not in _NUMBERS or p["amount"] < 0:
                 raise TxRejected(f"bad transfer amount {p['amount']!r}")
         elif tx.kind == TX_TRADING:
-            if set(p) != {"user", "trades"}:
+            if set(p) != {"user", "trades"} \
+                    or not isinstance(p["trades"], dict):
                 raise TxRejected("malformed trading payload")
             if p["user"] != tx.sender:
                 raise TxRejected("trading user must be the sender")
@@ -497,27 +498,26 @@ class Chain:
         TxFailed; nothing is committed, and the next block seals the
         rest of the pool.
         """
-        with self._lock:
-            scheduled = self.scheduled_proposer()
-            if proposer != scheduled:
-                raise ProposerError(
-                    f"proposer for height {self.height} is {scheduled!r}, "
-                    f"not {proposer!r}")
-            txs = sorted(self._pool, key=lambda t: (t.sender, t.nonce))
-            work = self._state.copy()
-            for tx in txs:
-                try:
-                    apply_tx(work, tx)
-                except ContractError as exc:
-                    self._pool.remove(tx)
-                    raise TxFailed(tx, exc) from exc
-            block = Block(self.height, self.tip(), proposer, tuple(txs),
-                          work.root())
-            self._state = work
-            self._pool = []
-            self.blocks.append(block)
-            self.records.append(block.to_record())
-            return block
+        scheduled = self.scheduled_proposer()
+        if proposer != scheduled:
+            raise ProposerError(
+                f"proposer for height {self.height} is {scheduled!r}, "
+                f"not {proposer!r}")
+        txs = sorted(self._pool, key=lambda t: (t.sender, t.nonce))
+        work = self._state.copy()
+        for tx in txs:
+            try:
+                apply_tx(work, tx)
+            except ContractError as exc:
+                self._pool.remove(tx)
+                raise TxFailed(tx, exc) from exc
+        block = Block(self.height, self.tip(), proposer, tuple(txs),
+                      work.root())
+        self._state = work
+        self._pool = []
+        self.blocks.append(block)
+        self.records.append(block.to_record())
+        return block
 
     # -- settlement -------------------------------------------------------
 
@@ -553,20 +553,19 @@ class Chain:
                     planned.append((v, u, -net))
         if not planned:
             return []
-        with self._lock:
-            nonces = dict(self._nonces)
-            txs = []
-            for src, dst, amount in planned:
-                nonce = nonces.get(src, -1) + 1
-                nonces[src] = nonce
-                txs.append(transfer_tx(src, nonce, dst, amount))
-            trial = self._state.copy()
-            for tx in sorted(txs, key=lambda t: (t.sender, t.nonce)):
-                try:
-                    apply_tx(trial, tx)
-                except ContractError as exc:
-                    raise SettlementError(
-                        f"{exc}; settlement aborted") from exc
+        nonces = dict(self._nonces)
+        txs = []
+        for src, dst, amount in planned:
+            nonce = nonces.get(src, -1) + 1
+            nonces[src] = nonce
+            txs.append(transfer_tx(src, nonce, dst, amount))
+        trial = self._state.copy()
+        for tx in sorted(txs, key=lambda t: (t.sender, t.nonce)):
+            try:
+                apply_tx(trial, tx)
+            except ContractError as exc:
+                raise SettlementError(
+                    f"{exc}; settlement aborted") from exc
         for tx in txs:
             self.submit_tx(tx)
         self.produce_block(self.scheduled_proposer())

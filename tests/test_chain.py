@@ -279,6 +279,24 @@ def test_bad_payload_gets_a_named_rejection(kind, payload, named):
     assert chain.next_nonce("u") == 0
 
 
+@pytest.mark.parametrize("sender, nonce, kind, payload", [
+    ("u", 0, "trading", {"user": "u", "trades": ["v"]}),
+    ("u", 0, "service", ["e_fit", "e_dr", "e_as"]),
+    ("u", 0, "service", None),
+    ("u", 0, "transfer", ["from", "to", "amount"]),
+    ("u", 0, "transfer", {"from": "u", "to": ["v"], "amount": 1.0}),
+    ("u", "0", "transfer", {"from": "u", "to": "v", "amount": 1.0}),
+    (["u"], 0, "transfer", {"from": "u", "to": "v", "amount": 1.0})],
+    ids=["trades-list", "service-list", "payload-none", "transfer-list",
+         "recipient-list", "nonce-str", "sender-list"])
+def test_malformed_transaction_shape_is_refused_by_name(sender, nonce, kind,
+                                                        payload):
+    chain = small_chain()
+    with pytest.raises(TxRejected):
+        chain.submit_tx(Transaction(sender, nonce, kind, payload))
+    assert chain.next_nonce("u") == 0 and chain._pool == []
+
+
 def test_trading_payload_must_cover_exactly_the_peers():
     chain = Chain(["a", "b", "c"], ["a0"], 2)
     z = [0.0, 0.0]

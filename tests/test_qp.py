@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qp_oracle import brute_force_qp, random_bounded_qp
 from vppsim import qp
 from vppsim.agent import build_co_primal
-from vppsim.experiment import centralized_day
+from vppsim.experiment import centralized_day, day_profile
 from vppsim.qp import (INFEASIBLE, MAX_ITER, OPTIMAL, UNBOUNDED, QpProblem,
                        QpSettings, QpSolution, QpSolver, kkt_residuals)
 from vppsim.scenario_io import gen_synthetic
@@ -251,3 +251,54 @@ def test_default_tolerance_keeps_the_oracle5_objective():
     sc = gen_synthetic(seed=2, users=5, complementary=True)
     objective, _ = centralized_day(sc, 0)
     assert objective == pytest.approx(-24.9809044003741, rel=1e-9)
+
+
+def _two_household_solver():
+    sc = gen_synthetic(seed=1, users=2, complementary=True)
+    p, peer = (day_profile(u, 0, sc.horizon.slots) for u in sc.users)
+    prob, _ = build_co_primal(p, sc.tariff, [peer.user_id], 1.0,
+                              trade_cap=sc.algo.trade_cap)
+    return prob, QpSolver(prob, QpSettings(polish=False))
+
+
+def _assert_close_to_cho_solve(x, L, b):
+    # relative to the solution's scale: entries near zero carry the
+    # rounding of the larger ones
+    ref = scipy.linalg.cho_solve((L, True), b)
+    np.testing.assert_allclose(x, ref, rtol=1e-12,
+                               atol=1e-12 * np.abs(ref).max())
+
+
+def test_chol_solve_matches_cho_solve_on_an_agent_splitting_matrix():
+    prob, solver = _two_household_solver()
+    # the factor is of Q + sigma I + A' diag(rho) A, equality rows at
+    # rho * EQ_STEP_SCALE
+    A, lo, hi = prob.rows
+    eq = np.isfinite(lo) & (lo == hi)
+    assert eq.any() and (~eq).any()
+    rho = np.where(eq, qp.STEP * qp.EQ_STEP_SCALE, qp.STEP)
+    K = prob.quad + qp.SIGMA * np.eye(prob.n) + A.T @ (rho[:, None] * A)
+    b = np.random.default_rng(5).normal(size=prob.n)
+    x = qp._chol_solve(solver.chol, b)
+    _assert_close_to_cho_solve(x, solver.chol, b)
+    np.testing.assert_allclose(K @ x, b, rtol=1e-8, atol=1e-8)
+
+
+def test_chol_solve_matches_cho_solve_on_a_large_spd_matrix():
+    rng = np.random.default_rng(9)
+    n = 1500
+    G = rng.normal(size=(n, 200))
+    L, _ = scipy.linalg.cho_factor(G @ G.T + n * np.eye(n), lower=True)
+    b = rng.normal(size=n)
+    _assert_close_to_cho_solve(qp._chol_solve(L, b), L, b)
+
+
+def test_chol_solve_repeats_bit_for_bit_and_keeps_its_input():
+    _, solver = _two_household_solver()
+    L = solver.chol
+    b = np.random.default_rng(6).normal(size=L.shape[0])
+    b_bytes = b.tobytes()
+    first = qp._chol_solve(L, b)
+    again = qp._chol_solve(np.array(L, order="F"), b)
+    assert first.tobytes() == again.tobytes()
+    assert b.tobytes() == b_bytes
