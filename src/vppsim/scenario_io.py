@@ -346,8 +346,9 @@ def gen_synthetic(seed: int, users: int = 10, days: int = 1,
             cap = np.maximum(cap, 0.0)
         if wind_base > 0:
             noise = rng.uniform(0.0, 1.0, n)
+            # centred 5-slot mean that keeps n values also when n < 5
             cap = wind_base * np.convolve(noise, np.ones(5) / 5,
-                                          mode="same")
+                                          mode="full")[2:2 + n]
             cap = np.maximum(cap, 0.0)
         hump = (0.25 + 0.5 * np.exp(-((sod - 8.0) ** 2) / 4.0)
                 + 0.8 * np.exp(-((sod - 20.0) ** 2) / 6.0))

@@ -51,6 +51,17 @@ def test_short_horizon_scenario_builds_stand_alone():
     assert set(run.costs) == {"u01", "u02"}
 
 
+def test_horizons_shorter_than_the_wind_window_build():
+    # u02 has wind, smoothed by a 5-slot mean
+    for slots in (2, 3, 4):
+        wind = gen_synthetic(seed=3, users=2, slots=slots).users[1].exo
+        assert wind.renewable_cap.size == slots
+        assert np.all(wind.renewable_cap > 0)
+    run = run_sa(gen_synthetic(seed=3, users=2, slots=4))
+    assert run.feasible
+    assert set(run.costs) == {"u01", "u02"}
+
+
 def test_solar_households_are_dark_at_night():
     sc = gen_synthetic(seed=0, users=4)
     solar = sc.users[0]  # odd-indexed ids carry wind instead
