@@ -28,9 +28,11 @@ residuals meet a tolerance, TOL unless the caller passes another (the
 trading loop's round solves pass agent.LOOP_TOL).
 Infeasibility and unboundedness are declared through the standard
 divergence certificates of the splitting iteration.  A final polish
-step solves the KKT system of the detected active set, assembled from
-the sparse blocks and factored dense, to push residuals to machine
-precision.
+step solves the KKT system of the detected active set to push
+residuals to machine precision, as OSQP's polish does (section 4).  The
+system is assembled from the sparse blocks; the variables that an
+active row pins alone are eliminated exactly with their rows, and only
+the rest is factored dense.
 
 Everything is deterministic at a fixed BLAS thread count: identical
 inputs and settings produce identical iterates, iteration counts, and
@@ -372,18 +374,20 @@ class QpSolver:
     # -- polish ------------------------------------------------------------
 
     def _solve_active(self, rows, at_lo, q, cn, iterations):
-        """Regularized KKT solve for a fixed active set, with refinement."""
+        """Regularized KKT solve for a fixed active set, with refinement.
+
+        The regularized system is factored with its pinned pairs
+        eliminated (`_kkt_solver`); the refinement and the scoring use the
+        full unregularized system.
+        """
         G = self.M[rows]
         rhs_g = np.where(at_lo, self.l[rows], self.u[rows])
-        n, k = self.problem.n, rows.size
-        delta = 1e-9
+        n = self.problem.n
         K0 = sp.block_array([[self.problem.quad, G.T], [G, None]],
                             format="csr")
-        reg = sp.diags_array(np.repeat([delta, -delta], [n, k]))
         rhs = np.concatenate([-q, rhs_g])
         try:
-            lu = scipy.linalg.lu_factor((K0 + reg).toarray(order="F"),
-                                        overwrite_a=True, check_finite=False)
+            kkt_solve = _kkt_solver(self.problem.quad, G, 1e-9)
         except (ValueError, np.linalg.LinAlgError):
             return None, None
 
@@ -395,7 +399,7 @@ class QpSolver:
                 x=x_new, y=y_new, status=OPTIMAL, iterations=iterations,
                 residuals={}, objective=_objective(self.problem, x_new, q, cn))
 
-        v = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+        v = kkt_solve(rhs)
         if not np.all(np.isfinite(v)):
             return None, None
         best = as_candidate(v)
@@ -403,7 +407,7 @@ class QpSolver:
         # refinement against the unregularized system; redundant active rows
         # make it singular, so keep whichever round scores best
         for _ in range(3):
-            v = v + scipy.linalg.lu_solve(lu, rhs - K0 @ v, check_finite=False)
+            v = v + kkt_solve(rhs - K0 @ v)
             if not np.all(np.isfinite(v)):
                 break
             cand = as_candidate(v)
@@ -473,7 +477,8 @@ class QpSolver:
             sol.x = best.x
             sol.y = best.y
             sol.objective = best.objective
-            sol.residuals = {"primal": best_res, "dual": best_res}
+            r = kkt_residuals(self.problem, best, q)
+            sol.residuals = {"primal": r["primal"], "dual": r["dual"]}
             sol.polished = True
             if require is not None:
                 sol.status = OPTIMAL
@@ -515,3 +520,54 @@ def _kkt_max(problem, sol, q) -> float:
     if any(not np.isfinite(v) for v in vals):
         return np.inf
     return max(vals)
+
+
+def _kkt_solver(Q, G, delta):
+    """Factor [[Q + delta I, G'], [G, -delta I]]; returns its solve.
+
+    The pinned pairs are eliminated exactly.  A pair is a variable j whose
+    Q row holds at most its diagonal and the first row r of G that touches
+    j alone, with coefficient a.  Its 2x2 block
+    B = [[Q_jj + delta, a], [a, -delta]] meets the rest only through
+    column j of the other rows.  The Schur complement of the pairs is the
+    kept matrix with those columns C folded into its -delta I block as
+    -C diag(w) C', w = delta / ((Q_jj + delta) delta + a^2) > 0, so it
+    stays quasidefinite (Vanderbei, SIAM J. Optim. 1995).  Only it is
+    factored dense; each solve back-substitutes the pairs through B's
+    inverse.
+    """
+    k, n = G.shape
+    K = sp.block_array([[Q, G.T], [G, None]], format="csr")
+    K = K + sp.diags_array(np.repeat([delta, -delta], [n, k]))
+    qd = Q.diagonal()
+    diag_only = np.diff(Q.indptr) == (qd != 0)
+    single = np.flatnonzero(np.diff(G.indptr) == 1)
+    var = G.indices[G.indptr[single]]
+    single, var = single[diag_only[var]], var[diag_only[var]]
+    px, first = np.unique(var, return_index=True)
+    py = n + single[first]
+    a = G.data[G.indptr[py - n]]
+    d = qd[px] + delta
+    den = d * delta + a * a
+    keep = np.ones(n + k, dtype=bool)
+    keep[px] = keep[py] = False
+    keep = np.flatnonzero(keep)
+    Kk = K[keep]
+    to_pairs = Kk[:, px]            # nonzero only in the kept rows of G
+    from_pairs = K[px][:, keep]
+    S = Kk[:, keep] - to_pairs @ sp.diags_array(delta / den) @ from_pairs
+    lu = scipy.linalg.lu_factor(S.toarray(order="F"), overwrite_a=True,
+                                check_finite=False)
+
+    def solve(r):
+        f, g = r[px], r[py]
+        v = np.empty(n + k)
+        v[keep] = scipy.linalg.lu_solve(
+            lu, r[keep] - to_pairs @ ((delta * f + a * g) / den),
+            check_finite=False)
+        f = f - from_pairs @ v[keep]
+        v[px] = (delta * f + a * g) / den
+        v[py] = (a * f - d * g) / den
+        return v
+
+    return solve

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from qp_oracle import brute_force_qp, random_bounded_qp
 from vppsim import qp
-from vppsim.agent import build_co_primal
-from vppsim.experiment import centralized_day, day_profile
+from vppsim.agent import build_co_primal, build_sa_problem
+from vppsim.experiment import centralized_day, day_profile, day_tariff
 from vppsim.qp import (INFEASIBLE, MAX_ITER, OPTIMAL, UNBOUNDED, QpProblem,
                        QpSettings, QpSolution, QpSolver, kkt_residuals)
 from vppsim.scenario_io import gen_synthetic
@@ -312,3 +312,163 @@ def test_failed_inverse_raises_a_named_error(monkeypatch):
     monkeypatch.setattr(qp, "dpotri", lambda c, lower, overwrite_c: (c, 1))
     with pytest.raises(np.linalg.LinAlgError, match="potri info 1"):
         QpSolver(prob)
+
+
+# -- the polish's KKT solve with the pinned pairs eliminated -----------------
+
+def _pinned_problem():
+    """Eight variables and eight rows: one-variable rows at lo, at hi and on
+    an equality, two one-variable rows on x3, a one-variable row on x6
+    whose Q row has an off-diagonal entry, and two multi-variable rows
+    across pinned and free variables."""
+    n = 8
+    Q = np.diag([2.0, 0.25, 1.0, 0.5, 0.0, 1.5, 2.0, 1.0])
+    Q[6, 7] = Q[7, 6] = 0.5
+    A = np.zeros((8, n))
+    lo, hi = np.full(8, -np.inf), np.full(8, np.inf)
+    A[0, 0], lo[0] = 1.0, 0.5
+    A[1, 1], hi[1] = 2.0, 3.0
+    A[2, 2], lo[2], hi[2] = -1.0, 0.25, 0.25
+    A[3, 3], lo[3] = 1.0, 1.0
+    A[4, 3], hi[4] = 2.0, 2.0
+    A[5, 6], lo[5] = 1.0, -1.0
+    A[6, [0, 2, 4]], lo[6], hi[6] = [1.0, -1.0, 1.0], 0.7, 0.7
+    A[7, [3, 5, 7]], hi[7] = [1.0, 1.0, -2.0], 0.3
+    lin = np.random.default_rng(0).normal(size=n)
+    return QpProblem(n=n, quad=Q, lin=lin, rows=(A, lo, hi))
+
+
+def _dense_kkt(solver, rows, delta):
+    n, k = solver.problem.n, rows.size
+    G = solver.M[rows].toarray()
+    K = np.block([[solver.problem.quad.toarray(), G.T],
+                  [G, np.zeros((k, k))]])
+    return K + np.diag(np.repeat([delta, -delta], [n, k]))
+
+
+def _full_kkt_reference(solver, rows, at_lo):
+    # the whole regularized KKT matrix factored dense, with the same three
+    # refinement rounds against the unregularized one, keeping the first
+    # round of least KKT residual as the solver does
+    prob = solver.problem
+    n = prob.n
+    K0 = _dense_kkt(solver, rows, 0.0)
+    lu = scipy.linalg.lu_factor(_dense_kkt(solver, rows, 1e-9))
+    rhs = np.concatenate([-prob.lin,
+                          np.where(at_lo, solver.l[rows], solver.u[rows])])
+    rounds = [scipy.linalg.lu_solve(lu, rhs)]
+    for _ in range(3):
+        rounds.append(rounds[-1] + scipy.linalg.lu_solve(
+            lu, rhs - K0 @ rounds[-1]))
+
+    def score(v):
+        y = np.zeros(solver.m)
+        y[rows] = v[n:]
+        return qp._kkt_max(prob, QpSolution(
+            x=v[:n], y=y, status=OPTIMAL, iterations=0, residuals={}),
+            prob.lin)
+
+    v = min(rounds, key=score)
+    return v[:n], v[n:]
+
+
+def _solve_active_factoring(monkeypatch, solver, rows, at_lo):
+    """`_solve_active`'s candidate and the sizes of the matrices it
+    factored."""
+    sizes = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def recording(a, **kw):
+        sizes.append(a.shape[0])
+        return lu_factor(a, **kw)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", recording)
+    cand, _ = solver._solve_active(rows, at_lo, solver.problem.lin,
+                                   solver.problem.const, 0)
+    return cand, sizes
+
+
+@pytest.mark.parametrize("rows, at_lo, factored", [
+    # x0 at lo, x1 at hi, x2 on an equality and x3 are pinned; x6's row
+    # stays, as do the multi-variable rows over x0, x2, x3
+    ([0, 1, 2, 3, 5, 6, 7], [1, 0, 1, 1, 1, 1, 0], 15 - 8),
+    # all pinned: every variable has its own one-variable row
+    ([0, 1, 2, 3], [1, 0, 1, 1], 4 + 4 - 8),
+    # no pair: only multi-variable rows and x6's row
+    ([5, 6, 7], [1, 1, 0], 8 + 3),
+], ids=["pairs-and-kept-rows", "all-pinned", "no-pair"])
+def test_pinned_pair_elimination_matches_the_full_kkt_solve(
+        monkeypatch, rows, at_lo, factored):
+    prob = _pinned_problem()
+    if len(rows) == 4:
+        # the all-pinned case: four variables, each behind its own row
+        A, lo, hi = prob.rows
+        prob = QpProblem(n=4, quad=prob.quad[:4, :4], lin=prob.lin[:4],
+                         rows=(A[:4, :4], lo[:4], hi[:4]))
+    solver = QpSolver(prob)
+    rows, at_lo = np.array(rows), np.array(at_lo, dtype=bool)
+    cand, sizes = _solve_active_factoring(monkeypatch, solver, rows, at_lo)
+    assert sizes == [factored]
+    x, y = _full_kkt_reference(solver, rows, at_lo)
+    scale = max(np.abs(x).max(), np.abs(y).max())
+    np.testing.assert_allclose(cand.x, x, rtol=0, atol=1e-10 * scale)
+    np.testing.assert_allclose(cand.y[rows], y, rtol=0, atol=1e-10 * scale)
+    # one unrefined solve with the eliminated factorization
+    r = np.random.default_rng(1).normal(size=prob.n + rows.size)
+    v = qp._kkt_solver(prob.quad, solver.M[rows], 1e-9)(r)
+    ref = np.linalg.solve(_dense_kkt(solver, rows, 1e-9), r)
+    np.testing.assert_allclose(v, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
+
+
+def test_a_second_one_variable_row_stays_in_the_factored_system(monkeypatch):
+    # rows 3 and 4 both pin x3 (x3 >= 1 and 2 x3 <= 2): row 3 pairs with
+    # x3 and row 4 stays.  The two are parallel, so the multipliers are
+    # fixed only up to the null direction (2, -1) of the pair, where the
+    # regularization resolves them to about eps / delta; x and A'y are
+    # fixed and must agree to rounding
+    solver = QpSolver(_pinned_problem())
+    rows = np.arange(8)
+    at_lo = np.array([1, 0, 1, 1, 0, 1, 1, 0], dtype=bool)
+    cand, sizes = _solve_active_factoring(monkeypatch, solver, rows, at_lo)
+    assert sizes == [16 - 8]
+    x, y = _full_kkt_reference(solver, rows, at_lo)
+    scale = max(np.abs(x).max(), np.abs(y).max())
+    np.testing.assert_allclose(cand.x, x, rtol=0, atol=1e-10 * scale)
+    A = solver.M.toarray()
+    np.testing.assert_allclose(A.T @ cand.y, A.T @ y, rtol=0,
+                               atol=1e-10 * scale)
+    dy = cand.y - y
+    np.testing.assert_allclose(np.delete(dy, [3, 4]), 0.0, rtol=0,
+                               atol=1e-10 * scale)
+    assert abs(dy[3]) <= 1e-6 * scale
+    # the unrefined solve is backward stable all the same
+    r = np.random.default_rng(1).normal(size=16)
+    v = qp._kkt_solver(solver.problem.quad, solver.M, 1e-9)(r)
+    K = _dense_kkt(solver, rows, 1e-9)
+    assert np.abs(K @ v - r).max() <= 1e-14 * np.abs(K).max() * np.abs(v).max()
+
+
+def _standalone(seed, user, users=3):
+    sc = gen_synthetic(seed=seed, users=users)
+    slots = sc.horizon.slots
+    (u,) = (u for u in sc.users if u.user_id == user)
+    prob, _ = build_sa_problem(day_profile(u, 0, slots),
+                               day_tariff(sc.tariff, 0, slots))
+    return prob, QpSolver(prob).solve()
+
+
+def test_survey_seed_11_household_u02_still_polishes():
+    # its first active set is redundant (230 rows of rank 202 over 217
+    # variables) and the polish drops three wrong-signed rows before the
+    # candidate is accepted
+    prob, sol = _standalone(11, "u02")
+    assert sol.status == OPTIMAL and sol.polished
+    res = kkt_residuals(prob, sol)
+    assert max(res.values()) <= qp.TOL
+
+
+def test_polished_solution_reports_its_own_residuals():
+    prob, sol = _standalone(11, "u01")
+    assert sol.polished
+    res = kkt_residuals(prob, sol)
+    assert sol.residuals == {"primal": res["primal"], "dual": res["dual"]}
