@@ -7,9 +7,9 @@ drains the pending transaction pool in (sender, nonce) order, and
 state and one ordered transaction.  The contract storage holds the
 trading coordination state (trades, auxiliary trades, multipliers, round
 counter) plus token balances.  Each block commits a digest of the
-storage's binary encoding as the state root, and the log carries the
-genesis storage as JSON, so the whole history can be replayed and
-byte-checked from the log alone.
+storage's binary encoding as the state root, and the genesis record
+carries the chain's own inputs, so replay rebuilds the genesis through
+`Chain` and the whole history can be byte-checked from the log alone.
 
 There is no cryptography here beyond content digests: sender identity is
 taken at face value, which is the appropriate level of fidelity for a
@@ -50,10 +50,6 @@ class ChainError(Exception):
 
 class TxRejected(ChainError):
     """Transaction refused at submission (bad sender, nonce, or payload)."""
-
-
-class ProposerError(ChainError):
-    """Block production attempted by a node that is not scheduled."""
 
 
 class ContractError(ChainError):
@@ -323,21 +319,6 @@ class ContractState:
     def copy(self) -> "ContractState":
         return copy.deepcopy(self)
 
-    @classmethod
-    def from_payload(cls, p: dict) -> "ContractState":
-        st = cls(users=p["users"], horizon=p["horizon"], rho=p["rho"],
-                 balances=p["balances"])
-        st.round = int(p["round"])
-        keys, off = _pair_layout(st.users)
-        for name in ("trades", "aux", "mult"):
-            if sorted(p[name]) != sorted(keys):
-                raise ValueError(f"{name} must cover every ordered pair")
-            getattr(st, name)[off] = [p[name][k] for k in keys]
-        st.services = {u: {k: np.asarray(v, float) for k, v in s.items()}
-                       for u, s in p["services"].items()}
-        st.submitted = set(p["submitted"])
-        return st
-
 
 def apply_tx(state: ContractState, tx: Transaction):
     """Apply one committed transaction to contract storage.
@@ -376,10 +357,11 @@ class Chain:
     The authorities are fixed at genesis and take turns as proposers by
     height.  State changes only by `apply_tx`: a block applies the
     pooled transactions to a copy of the committed state, and settlement
-    checks its batch the same way before submitting it.  The genesis
-    record and the blocks append to an in-memory log that save_log
-    persists as length-prefixed canonical JSON.  The simulation drives a
-    chain from one thread; it takes no lock.
+    checks its batch the same way before submitting it.  Each block is
+    stored once: `records` derives the log from the genesis inputs and
+    the blocks, and save_log persists it as length-prefixed canonical
+    JSON.  The simulation drives a chain from one thread; it takes no
+    lock.
     """
 
     def __init__(self, users, authorities, horizon: int, rho: float = 1.0):
@@ -399,19 +381,23 @@ class Chain:
         self._authorities = tuple(authorities)
         self._pool: list[Transaction] = []
         self.blocks: list[Block] = []
-        self.records: list[dict] = [{
-            "type": RECORD_GENESIS,
-            "authorities": authorities,
-            "operator": OPERATOR,
-            "state": self._state.payload(),
-            "state_root": self._state.root(),
-        }]
+        self._genesis = {
+            "type": RECORD_GENESIS, "authorities": authorities,
+            "operator": OPERATOR, "users": users,
+            "horizon": self._state.horizon, "rho": self._state.rho,
+            "balances": balances, "state_root": self._state.root()}
 
     # -- read side --------------------------------------------------------
 
     @property
     def height(self) -> int:
         return len(self.blocks)
+
+    @property
+    def records(self) -> list:
+        """The chain log: the genesis record, then one record per block,
+        as fresh plain values that share nothing with the chain."""
+        return [_plain(self._genesis), *(b.to_record() for b in self.blocks)]
 
     def state(self) -> ContractState:
         """Snapshot of committed contract storage."""
@@ -426,7 +412,7 @@ class Chain:
 
     def tip(self) -> str:
         return self.blocks[-1].digest if self.blocks \
-            else self.records[0]["state_root"]
+            else self._genesis["state_root"]
 
     def scheduled_proposer(self) -> str:
         return self._authorities[self.height % len(self._authorities)]
@@ -491,18 +477,13 @@ class Chain:
                     and _NUMBERS.issuperset(map(type, vec))):
                 raise TxRejected(f"{what} {key} must hold {H} numbers")
 
-    def produce_block(self, proposer: str) -> Block:
-        """Seal the pool into the next block.
+    def produce_block(self) -> Block:
+        """Seal the pool into the next block, as the scheduled proposer.
 
         A transaction that fails to apply leaves the pool and raises
         TxFailed; nothing is committed, and the next block seals the
         rest of the pool.
         """
-        scheduled = self.scheduled_proposer()
-        if proposer != scheduled:
-            raise ProposerError(
-                f"proposer for height {self.height} is {scheduled!r}, "
-                f"not {proposer!r}")
         txs = sorted(self._pool, key=lambda t: (t.sender, t.nonce))
         work = self._state.copy()
         for tx in txs:
@@ -511,12 +492,11 @@ class Chain:
             except ContractError as exc:
                 self._pool.remove(tx)
                 raise TxFailed(tx, exc) from exc
-        block = Block(self.height, self.tip(), proposer, tuple(txs),
-                      work.root())
+        block = Block(self.height, self.tip(), self.scheduled_proposer(),
+                      tuple(txs), work.root())
         self._state = work
         self._pool = []
         self.blocks.append(block)
-        self.records.append(block.to_record())
         return block
 
     # -- settlement -------------------------------------------------------
@@ -568,7 +548,7 @@ class Chain:
                     f"{exc}; settlement aborted") from exc
         for tx in txs:
             self.submit_tx(tx)
-        self.produce_block(self.scheduled_proposer())
+        self.produce_block()
         return txs
 
     # -- persistence ------------------------------------------------------
@@ -615,19 +595,25 @@ def _reading(height):
 def replay(source) -> ContractState:
     """Rebuild contract state from a chain log, verifying every digest.
 
-    Accepts a path or an already-loaded record list.  Raises
-    CorruptionError naming the first block whose transactions, state
-    root, or seal disagree with the recorded values, or whose record is
-    malformed.
+    Accepts a path or an already-loaded record list.  The genesis is
+    rebuilt by `Chain` from the logged inputs and must give the logged
+    record byte for byte.  Raises CorruptionError naming the genesis or
+    the first block whose transactions, state root, or seal disagree
+    with the recorded values, or whose record is malformed.
     """
     records = load_log(source) if not isinstance(source, list) else source
     with _reading(None):
         if not records or records[0].get("type") != RECORD_GENESIS:
             raise CorruptionError(None, "log does not start with genesis")
         genesis = records[0]
-        state = ContractState.from_payload(genesis["state"])
-        if state.root() != genesis["state_root"]:
-            raise CorruptionError(None, "genesis state root mismatch")
+        try:
+            chain = Chain(genesis["users"], genesis["authorities"],
+                          genesis["horizon"], genesis["rho"])
+        except ChainError as exc:
+            raise CorruptionError(None, f"genesis refused ({exc})") from exc
+        if canonical(chain.records[0]) != canonical(genesis):
+            raise CorruptionError(None, "genesis record mismatch")
+        state = chain.state()
         authorities = list(genesis["authorities"])
         parent = genesis["state_root"]
     height = 0
@@ -690,14 +676,13 @@ def _record_lines(record: dict, height) -> list:
     kind = record.get("type")
     lines = []
     if kind == RECORD_GENESIS:
-        state = record["state"]
         lines.append("genesis")
         lines.append(f"  operator   {record['operator']}")
         lines.append(f"  authorities {' '.join(record['authorities'])}")
-        lines.append(f"  users      {' '.join(state['users'])}")
-        lines.append(f"  horizon    {state['horizon']}  "
-                     f"rho {state['rho']}")
-        for acct, bal in sorted(state["balances"].items()):
+        lines.append(f"  users      {' '.join(record['users'])}")
+        lines.append(f"  horizon    {record['horizon']}  "
+                     f"rho {record['rho']}")
+        for acct, bal in sorted(record["balances"].items()):
             lines.append(f"  balance    {acct:<12} {bal}")
         lines.append(f"  state_root {record['state_root']}")
     elif kind == RECORD_BLOCK:

@@ -224,7 +224,7 @@ class LocalTransport:
 
 
 def run_decentralized(profiles, tariff: Tariff, cfg: AlgoConfig,
-                      transport=None, feas_tol: float = 1e-6) -> RunResult:
+                      transport=None) -> RunResult:
     """Alternate trade exchanges with convergence checks.
 
     Starts from zero multipliers and zero auxiliary trades; each exchange
@@ -265,7 +265,7 @@ def run_decentralized(profiles, tariff: Tariff, cfg: AlgoConfig,
     cap = resolve_trade_cap(cfg.trade_cap, profiles)
     feasible = all(
         check_feasibility(schedules[p.user_id], p, tariff, CO,
-                          tol=feas_tol, trade_cap=cap).ok
+                          trade_cap=cap).ok
         for p in profiles)
     return RunResult(schedules=schedules, costs=transport.costs(),
                      trace=trace, iterations=state.iteration,

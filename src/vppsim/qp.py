@@ -437,7 +437,7 @@ class QpSolver:
         at_lo = (self.eq_mask | act_lo)[rows]
         return rows, at_lo
 
-    def _polish(self, sol: QpSolution, q, cn, z=None,
+    def _polish(self, sol: QpSolution, q, cn, z,
                 require: float | None = None):
         """Sharpen the solution by solving the detected active set exactly.
 
@@ -450,10 +450,7 @@ class QpSolver:
         """
         if self.m == 0:
             return
-        y = sol.y
-        if z is None:
-            z = np.clip(self.M @ sol.x, self.l, self.u)
-        rows, at_lo = self._active_guess(y, z)
+        rows, at_lo = self._active_guess(sol.y, z)
         best = None
         best_res = np.inf
         for _ in range(6):

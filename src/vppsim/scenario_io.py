@@ -408,8 +408,6 @@ def write_results(out, schedules=None, sa_costs=None, co_costs=None,
                 red = 0.0 if sa == 0.0 else 100.0 * (sa - co) / abs(sa)
                 writer.writerow([uid, repr(sa), repr(co), repr(red)])
     if trace is not None:
-        if not isinstance(trace, dict):
-            trace = {0: trace}
         with open(out / "trace.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["day", "iteration", "primal_gap", "dual_gap",

@@ -155,7 +155,7 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
             missing = sorted(set(agents) - arrived)
             if missing:
                 raise RoundTimeout(missing[0], deadline)
-    block = chain.produce_block(chain.scheduled_proposer())
+    block = chain.produce_block()
     log.append(EventRecord(last_arrival, "block", block.proposer,
                            block.digest))
     return RoundOutcome(block=block, end_tick=last_arrival)
@@ -172,18 +172,11 @@ class ChainTransport(LocalTransport):
     """
 
     def __init__(self, profiles, tariff: Tariff, cfg: AlgoConfig,
-                 net: NetConfig | None = None, chain: Chain | None = None,
-                 authorities=None):
+                 net: NetConfig | None = None):
         super().__init__(profiles, tariff, cfg)
-        if chain is None:
-            if authorities is None:
-                authorities = [f"auth{i}" for i in range(5)]
-            chain = Chain(sorted(self.agents), authorities,
-                          profiles[0].horizon, rho=cfg.rho)
-        elif chain.state().rho != cfg.rho:
-            # the agents' penalty terms are built with cfg.rho
-            raise SimError(f"chain and agents disagree on rho {cfg.rho}")
-        self.chain = chain
+        self.chain = Chain(sorted(self.agents),
+                           [f"auth{i}" for i in range(5)],
+                           profiles[0].horizon, rho=cfg.rho)
         self.net = net if net is not None else NetConfig()
         self.rng = np.random.default_rng(self.net.seed)
         self.events: list[EventRecord] = []
@@ -211,7 +204,7 @@ class ChainTransport(LocalTransport):
             self.chain.submit_tx(tx)
             self.events.append(EventRecord(tick, "service", u, tx.txid))
             last = max(last, tick)
-        block = self.chain.produce_block(self.chain.scheduled_proposer())
+        block = self.chain.produce_block()
         self.events.append(EventRecord(last, "block", block.proposer,
                                        block.digest))
         transfers = self.chain.settle(schedules, tariff)

@@ -330,11 +330,3 @@ def test_trace_and_config_echo(tmp_path):
     assert lines[1] == "0,1,0.5,0.25,3.0,150,100"
     assert lines[2] == "1,1,0.0,0.0,2.0,0,0"
     assert (tmp_path / "effective.conf").read_text() == "days = 2\n"
-
-
-def test_flat_trace_lists_are_wrapped_as_day_zero(tmp_path):
-    trace = [TraceRecord(iteration=1, primal_gap=0.1, dual_gap=0.1,
-                         costs={"u01": 1.0})]
-    write_results(tmp_path, trace=trace)
-    lines = (tmp_path / "trace.csv").read_text().splitlines()
-    assert lines[1].split(",")[0] == "0"

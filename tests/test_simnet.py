@@ -153,16 +153,6 @@ def test_networked_run_matches_the_in_process_run():
     assert transport.chain.state().round == networked.iterations
 
 
-def test_chain_with_another_rho_is_refused():
-    profiles = surplus_pair(2)
-    tariff = toy_tariff(2, pi_fit=0.1)
-    chain = Chain(["ua", "ub"], ["a0"], 2, rho=2.0)
-    with pytest.raises(SimError):
-        ChainTransport(profiles, tariff, AlgoConfig(rho=1.0), chain=chain)
-    assert ChainTransport(profiles, tariff, AlgoConfig(rho=2.0),
-                          chain=chain).chain is chain
-
-
 def test_finalize_records_services_then_settles(tmp_path):
     profiles = surplus_pair(2)
     tariff = toy_tariff(2, pi_fit=0.1)
