@@ -8,8 +8,9 @@ state and one ordered transaction.  The contract storage holds the
 trading coordination state (trades, auxiliary trades, multipliers, round
 counter) plus token balances.  Each block commits a digest of the
 storage's binary encoding as the state root, and the genesis record
-carries the chain's own inputs, so replay rebuilds the genesis through
-`Chain` and the whole history can be byte-checked from the log alone.
+carries the chain's own inputs, so replay re-runs the whole log through
+a `Chain` and accepts it only if every rebuilt record equals the logged
+one byte for byte; `dump_text` renders only a log that replays.
 
 There is no cryptography here beyond content digests: sender identity is
 taken at face value, which is the appropriate level of fidelity for a
@@ -71,7 +72,7 @@ class SettlementError(ChainError):
 
 
 class CorruptionError(ChainError):
-    """Replay found a record that does not match its recorded digest."""
+    """Replay found a record that no `Chain` would have written."""
 
     def __init__(self, height, detail):
         self.height = height
@@ -125,10 +126,6 @@ def canonical(obj) -> bytes:
 
 def digest(obj) -> str:
     return hashlib.sha256(canonical(obj)).hexdigest()
-
-
-def pair_key(u: str, v: str) -> str:
-    return f"{u}|{v}"
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +198,6 @@ class Block:
 # contract storage
 # ---------------------------------------------------------------------------
 
-def _pair_layout(users):
-    """Pair keys u|v and the off-diagonal mask, in the same row-major order."""
-    return ([pair_key(u, v) for u in users for v in users if u != v],
-            ~np.eye(len(users), dtype=bool))
-
-
 class ContractState:
     """Coordination contract storage plus token accounts.
 
@@ -276,31 +267,17 @@ class ContractState:
 
     # -- serialization ----------------------------------------------------
 
-    def payload(self) -> dict:
-        keys, off = _pair_layout(self.users)
-        return {
-            "users": list(self.users),
-            "horizon": self.horizon,
-            "rho": self.rho,
-            "round": self.round,
-            "trades": dict(zip(keys, self.trades[off])),
-            "aux": dict(zip(keys, self.aux[off])),
-            "mult": dict(zip(keys, self.mult[off])),
-            "balances": dict(sorted(self.balances.items())),
-            "services": {u: s for u, s in sorted(self.services.items())},
-            "submitted": sorted(self.submitted),
-        }
-
     def root(self) -> str:
         """SHA-256 of a typed binary encoding of the state.
 
         A length-prefixed canonical-JSON header (users, horizon, rho,
         round, balances, submitted users and the sorted (user, key,
         length) layout of the service vectors), then the big-endian
-        float64 bytes of trades, aux and mult over the ordered pairs in
-        `_pair_layout` order, then each service vector in layout order.
-        The header fixes every length, so distinct states (signed zeros
-        included) give distinct bytes, without printing a float.
+        float64 bytes of trades, aux and mult over the ordered pairs
+        (u, v), u != v, in row-major order, then each service vector in
+        layout order.  The header fixes every length, so distinct states
+        (signed zeros included) give distinct bytes, without printing a
+        float.
         """
         layout = sorted((u, k, len(v)) for u, s in self.services.items()
                         for k, v in s.items())
@@ -309,7 +286,7 @@ class ContractState:
             "round": self.round, "balances": self.balances,
             "submitted": sorted(self.submitted), "services": layout})
         h = hashlib.sha256(struct.pack(">I", len(header)) + header)
-        _, off = _pair_layout(self.users)
+        off = ~np.eye(len(self.users), dtype=bool)
         for arr in (self.trades, self.aux, self.mult):
             h.update(arr[off].astype(">f8").tobytes())
         for u, k, _ in layout:
@@ -592,14 +569,26 @@ def _reading(height):
         raise CorruptionError(height, f"malformed record ({exc!r})") from exc
 
 
+def _check_record(height, rebuilt: dict, logged: dict):
+    """Require the logged record to equal the rebuilt one in canonical
+    bytes; the error names the first field that differs."""
+    want = {k: canonical(v) for k, v in rebuilt.items()}
+    got = {k: canonical(v) for k, v in logged.items()}
+    if got != want:
+        name = next(k for k in {**want, **got} if want.get(k) != got.get(k))
+        raise CorruptionError(height, f"record field {name!r} differs")
+
+
 def replay(source) -> ContractState:
-    """Rebuild contract state from a chain log, verifying every digest.
+    """Rebuild contract state by re-running a chain log through `Chain`.
 
     Accepts a path or an already-loaded record list.  The genesis is
-    rebuilt by `Chain` from the logged inputs and must give the logged
-    record byte for byte.  Raises CorruptionError naming the genesis or
-    the first block whose transactions, state root, or seal disagree
-    with the recorded values, or whose record is malformed.
+    rebuilt by `Chain` from the logged inputs; each block's transactions
+    are submitted to it and sealed by `produce_block`, so a block passes
+    every check the live chain makes.  Each rebuilt record must equal the
+    logged one byte for byte.  Raises CorruptionError naming the genesis
+    or the first block whose record is malformed, holds a transaction the
+    chain refuses or cannot apply, or differs from the rebuilt record.
     """
     records = load_log(source) if not isinstance(source, list) else source
     with _reading(None):
@@ -611,71 +600,48 @@ def replay(source) -> ContractState:
                           genesis["horizon"], genesis["rho"])
         except ChainError as exc:
             raise CorruptionError(None, f"genesis refused ({exc})") from exc
-        if canonical(chain.records[0]) != canonical(genesis):
-            raise CorruptionError(None, "genesis record mismatch")
-        state = chain.state()
-        authorities = list(genesis["authorities"])
-        parent = genesis["state_root"]
-    height = 0
-    for record in records[1:]:
+        _check_record(None, chain.records[0], genesis)
+    for height, record in enumerate(records[1:]):
         with _reading(height):
-            kind = record.get("type")
-            if kind != RECORD_BLOCK:
-                raise CorruptionError(height,
-                                      f"unknown record type {kind!r}")
-            if record["height"] != height:
-                raise CorruptionError(
-                    height,
-                    f"expected height {height}, found {record['height']}")
-            if record["parent"] != parent:
-                raise CorruptionError(height, "parent digest mismatch")
-            expected = authorities[height % len(authorities)]
-            if record["proposer"] != expected:
-                raise CorruptionError(
-                    height, f"proposer {record['proposer']!r} is not the "
-                    f"scheduled {expected!r}")
-            txs = []
             for raw in record["txs"]:
                 tx = Transaction(**{k: raw[k] for k in raw if k != "txid"})
                 if tx.txid != raw["txid"]:
                     raise CorruptionError(height, "transaction id mismatch "
                                           f"for {tx.sender}:{tx.nonce}")
                 try:
-                    apply_tx(state, tx)
-                except ChainError as exc:
+                    chain.submit_tx(tx)
+                except TxRejected as exc:
                     raise CorruptionError(
-                        height, f"transaction {tx.sender}:{tx.nonce} does "
-                        f"not apply ({exc})") from exc
-                txs.append(tx)
-            block = Block(height, parent, record["proposer"], tuple(txs),
-                          state.root())
-            if block.state_root != record["state_root"]:
-                raise CorruptionError(height, "state root mismatch")
-            if block.digest != record["digest"]:
-                raise CorruptionError(height, "block digest mismatch")
-            parent = block.digest
-        height += 1
-    return state
+                        height, f"transaction {tx.sender}:{tx.nonce} "
+                        f"refused ({exc})") from exc
+            try:
+                block = chain.produce_block()
+            except TxFailed as exc:
+                raise CorruptionError(
+                    height, f"transaction {exc.sender}:{exc.nonce} does "
+                    f"not apply ({exc.__cause__})") from exc
+            _check_record(height, block.to_record(), record)
+    return chain.state()
 
 
 def dump_text(source) -> str:
     """Render a chain log as human-readable structured text.
 
-    Raises CorruptionError, with the block height, on a malformed record.
+    The log is replayed first, so only a log that replays renders;
+    anything else raises CorruptionError with the height of the first
+    bad record.
     """
     records = load_log(source) if not isinstance(source, list) else source
+    replay(records)
     lines = []
-    for i, record in enumerate(records):
-        height = i - 1 if i else None
-        with _reading(height):
-            lines += _record_lines(record, height)
+    for record in records:
+        lines += _record_lines(record)
     return "\n".join(lines) + "\n"
 
 
-def _record_lines(record: dict, height) -> list:
-    kind = record.get("type")
+def _record_lines(record: dict) -> list:
     lines = []
-    if kind == RECORD_GENESIS:
+    if record["type"] == RECORD_GENESIS:
         lines.append("genesis")
         lines.append(f"  operator   {record['operator']}")
         lines.append(f"  authorities {' '.join(record['authorities'])}")
@@ -685,7 +651,7 @@ def _record_lines(record: dict, height) -> list:
         for acct, bal in sorted(record["balances"].items()):
             lines.append(f"  balance    {acct:<12} {bal}")
         lines.append(f"  state_root {record['state_root']}")
-    elif kind == RECORD_BLOCK:
+    else:
         lines.append(f"block {record['height']}  "
                      f"proposer {record['proposer']}  "
                      f"txs {len(record['txs'])}")
@@ -695,8 +661,6 @@ def _record_lines(record: dict, height) -> list:
             lines.append(f"  tx {raw['txid'][:16]}  {summary}")
         lines.append(f"  state_root {record['state_root']}")
         lines.append(f"  digest     {record['digest']}")
-    else:
-        raise CorruptionError(height, f"unknown record type {kind!r}")
     return lines
 
 
@@ -709,8 +673,7 @@ def _tx_summary(raw: dict) -> str:
     if kind == TX_TRADING:
         peers = " ".join(sorted(p["trades"]))
         return f"trading {p['user']} nonce {raw['nonce']}  peers {peers}"
-    if kind == TX_SERVICE:
-        tot = sum(sum(p[k]) for k in ("e_fit", "e_dr", "e_as"))
-        return (f"service {raw['sender']} nonce {raw['nonce']}  "
-                f"total {tot:.6g}")
-    return f"{kind} {raw['sender']} nonce {raw['nonce']}"
+    # a replayed log holds no other kind
+    tot = sum(sum(p[k]) for k in ("e_fit", "e_dr", "e_as"))
+    return (f"service {raw['sender']} nonce {raw['nonce']}  "
+            f"total {tot:.6g}")

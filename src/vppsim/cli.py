@@ -12,8 +12,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .agent import BuildError
+from .agent import AgentSolveError, BuildError
 from .chain import ChainError, dump_text
+from .coordinator import ProtocolError
 from .experiment import (ExperimentError, run_co, run_compare, run_sa,
                          run_verify_oracle)
 from .model import InvalidInput
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complementary", action="store_true",
                    help="sharpen the producer/consumer split")
 
-    p = sub.add_parser("chain-dump", help="render a chain log as text")
+    p = sub.add_parser("chain-dump", help="replay and render a chain log")
     p.add_argument("log", help="path to a saved chain log")
     p.add_argument("--out", metavar="FILE",
                    help="write here instead of stdout")
@@ -194,7 +195,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ScenarioError, ExperimentError, ChainError, SimError,
-            InvalidInput, BuildError) as exc:
+            InvalidInput, BuildError, AgentSolveError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 from conftest import read_comparison
 
+from vppsim import qp
 from vppsim.cli import main
 from vppsim.scenario_io import gen_synthetic, write_scenario
 
@@ -116,6 +117,18 @@ def test_empty_iteration_budget_is_a_clean_error(pair_scenario, tmp_path,
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: max_iter")
+    assert "Traceback" not in err
+
+
+def test_failed_agent_solve_is_a_clean_error(pair_scenario, tmp_path,
+                                              monkeypatch, capsys):
+    monkeypatch.setattr(qp, "ITER_LIMIT", 1)
+    code = main(["run-co", "--scenario", str(pair_scenario),
+                 "--out", str(tmp_path / "results")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: agent ")
+    assert "subproblem ended with status max-iter" in err
     assert "Traceback" not in err
 
 
