@@ -87,13 +87,12 @@ def _latency(raw, n):
 
 # The kind of every section field that is not a float.  None marks a
 # field the loader supplies, which is no key: the household id, the
-# nested sections, the trace series and the per-node latency overrides.
+# nested sections and the trace series.
 _KINDS = {
     Horizon: {"slots": _int},
     Tariff: {"pi_dr": _vector, "pi_as": _vector},
     AlgoConfig: {"max_iter": _int},
-    NetConfig: {"latency": _latency, "timeout": _int, "seed": _int,
-                "overrides": None},
+    NetConfig: {"latency": _latency, "timeout": _int, "seed": _int},
     UserProfile: {"user_id": None, "ac": None, "flex": None,
                   "battery": None, "exo": None},
     FlexParams: {"reference": None, "lo": _vector, "hi": _vector},

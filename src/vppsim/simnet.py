@@ -1,20 +1,21 @@
 """Round-based message harness between household agents and the chain.
 
 Each trading iteration is simulated as a discrete-tick event sequence:
-the chain's dual state goes out to every agent over a per-link latency,
-each agent solves its local problem and sends a trading transaction
-back, the scheduled authority seals a block once the last transaction
-arrives, and the block application triggers the dual update.  A fixed
-seed fixes every latency draw, so at a fixed BLAS thread count (see
-qp.py) the full tick-by-tick event log is reproducible; arrival order
-never matters because the update only runs on the complete trade map.
+the chain's dual state goes out to every agent over a link latency (one
+latency for every link), each agent solves its local problem and sends a
+trading transaction back, the scheduled authority seals a block once the
+last transaction arrives, and the block application triggers the dual
+update.  Every tick of a round is drawn before any agent solves, so a
+round that would time out leaves the chain as it found it.  A fixed seed
+fixes every latency draw, so at a fixed BLAS thread count (see qp.py)
+the full tick-by-tick event log is reproducible; arrival order never
+matters because the update only runs on the complete trade map.
 Every event ref is an address in the chain log: `deliver` names the tip
 (block digest or genesis root) the dual slice was read from; `solve`,
 `arrive` and `service` a txid; `block` and `settle` (or "none") a block.
 """
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,37 +41,26 @@ class RoundTimeout(SimError):
 
 @dataclass
 class NetConfig:
-    """Per-link delivery delays in simulated ticks.
+    """One delivery delay, in simulated ticks, for every link.
 
     latency is either a fixed tick count or an inclusive (lo, hi) range
-    drawn uniformly per message; overrides substitute per-node values.
-    Delays are non-negative, a range has lo <= hi, and the timeout must
-    exceed the largest possible single-link delay.
+    drawn uniformly per message.  Delays are non-negative, a range has
+    lo <= hi, and the timeout must exceed the largest possible delay.
     """
 
     latency: object = (1, 5)
     timeout: int = 50
     seed: int = 0
-    overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not all(0 <= lo <= hi for lo, hi in self._ranges()):
-            raise SimError("latencies must be non-negative tick counts or "
-                           f"ranges lo <= hi, got {self._ranges()}")
-        worst = self.max_latency()
-        if self.timeout <= worst:
+        lo, hi = self.latency if isinstance(self.latency, tuple) \
+            else (self.latency, self.latency)
+        if not 0 <= lo <= hi:
+            raise SimError("latency must be a non-negative tick count or "
+                           f"a range lo <= hi, got {self.latency}")
+        if self.timeout <= hi:
             raise SimError(
-                f"timeout {self.timeout} must exceed max latency {worst}")
-
-    def link(self, node: str):
-        return self.overrides.get(node, self.latency)
-
-    def _ranges(self) -> list:
-        return [d if isinstance(d, tuple) else (d, d)
-                for d in [self.latency, *self.overrides.values()]]
-
-    def max_latency(self) -> int:
-        return max(hi for _, hi in self._ranges())
+                f"timeout {self.timeout} must exceed max latency {hi}")
 
 
 def _draw(rng, delay) -> int:
@@ -106,10 +96,13 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
               ) -> RoundOutcome:
     """Simulate one full trading iteration over the network.
 
-    Delivers each agent its dual slice, collects every trading
-    transaction, and seals the block (which runs the dual update) at the
-    last arrival.  Raises RoundTimeout naming the first silent agent if
-    any transaction would land after start_tick + cfg.timeout.
+    Draws the round's schedule first: each agent's delivery tick and the
+    arrival tick of its trading transaction.  If an arrival would land
+    after start_tick + cfg.timeout, raises RoundTimeout naming the first
+    such agent in delivery order, before any agent solves, so the chain
+    is left as it was.  Otherwise delivers each agent its dual slice,
+    submits every trading transaction, and seals the block (which runs
+    the dual update) at the last arrival.
     """
     state = chain.state()
     if state.round != k:
@@ -118,47 +111,36 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
         raise SimError("agent set does not match chain users")
     log = events if events is not None else []
     deadline = start_tick + cfg.timeout
-    heap = []
-    seq = 0
-    # All latency draws happen here in sorted-agent order, so the random
-    # stream is identical no matter how the events later interleave.
-    up_lat = {}
-    for u in sorted(agents):
-        down = _draw(rng, cfg.link(u))
-        up_lat[u] = _draw(rng, cfg.link(u))
-        heapq.heappush(heap, (start_tick + down, 0, seq, "deliver", u))
-        seq += 1
-    heapq.heappush(heap, (deadline, 1, seq, "timeout", ""))
-    seq += 1
-    arrived = set()
-    last_arrival = start_tick
-    while heap:
-        tick, _, _, kind, u = heapq.heappop(heap)
-        if kind == "deliver":
-            dual = chain.contract_call("read_dual", user=u)
-            log.append(EventRecord(tick, "deliver", u, chain.tip()))
-            tx = trading_tx(u, chain.next_nonce(u),
+    # Two draws per agent in sorted-agent order: the delay down to it and
+    # the delay of its transaction back.
+    deliver, arrive = {}, {}
+    for u in state.users:
+        deliver[u] = start_tick + _draw(rng, cfg.latency)
+        arrive[u] = deliver[u] + _draw(rng, cfg.latency)
+    order = sorted(state.users, key=deliver.get)
+    late = [u for u in order if arrive[u] > deadline]
+    if late:
+        raise RoundTimeout(late[0], deadline)
+    txs = {}
+    for u in order:
+        dual = chain.contract_call("read_dual", user=u)
+        txs[u] = trading_tx(u, chain.next_nonce(u),
                             agents[u].solve_round(dual))
-            log.append(EventRecord(tick, "solve", u, tx.txid))
-            arrival = tick + up_lat[u]
-            if arrival > deadline:
-                raise RoundTimeout(u, deadline)
-            heapq.heappush(heap, (arrival, 0, seq, "arrive", (u, tx)))
-            seq += 1
-        elif kind == "arrive":
-            u, tx = u
-            chain.submit_tx(tx)
-            arrived.add(u)
-            last_arrival = max(last_arrival, tick)
-            log.append(EventRecord(tick, "arrive", u, tx.txid))
-        elif kind == "timeout":
-            missing = sorted(set(agents) - arrived)
-            if missing:
-                raise RoundTimeout(missing[0], deadline)
+    # events by tick, deliveries before arrivals, then by delivery rank
+    tip = chain.tip()
+    for tick, arriving, _, u in sorted(
+            [(deliver[u], False, i, u) for i, u in enumerate(order)]
+            + [(arrive[u], True, i, u) for i, u in enumerate(order)]):
+        if arriving:
+            chain.submit_tx(txs[u])
+            log.append(EventRecord(tick, "arrive", u, txs[u].txid))
+        else:
+            log.append(EventRecord(tick, "deliver", u, tip))
+            log.append(EventRecord(tick, "solve", u, txs[u].txid))
+    end_tick = max(arrive.values(), default=start_tick)
     block = chain.produce_block()
-    log.append(EventRecord(last_arrival, "block", block.proposer,
-                           block.digest))
-    return RoundOutcome(block=block, end_tick=last_arrival)
+    log.append(EventRecord(end_tick, "block", block.proposer, block.digest))
+    return RoundOutcome(block=block, end_tick=end_tick)
 
 
 class ChainTransport(LocalTransport):
@@ -197,7 +179,7 @@ class ChainTransport(LocalTransport):
         last = self.tick
         for u in sorted(schedules):
             s = schedules[u]
-            lat = _draw(self.rng, self.net.link(u))
+            lat = _draw(self.rng, self.net.latency)
             tick = self.tick + lat
             tx = service_tx(u, self.chain.next_nonce(u),
                             s.e_fit, s.e_dr, s.e_as)

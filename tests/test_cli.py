@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, driven through main()."""
 
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -129,6 +130,23 @@ def test_failed_agent_solve_is_a_clean_error(pair_scenario, tmp_path,
     assert code == 1
     assert err.startswith("error: agent ")
     assert "subproblem ended with status max-iter" in err
+    assert "Traceback" not in err
+
+
+def test_silent_agent_is_a_clean_error(pair_scenario, tmp_path, capsys):
+    root = tmp_path / "slow"
+    shutil.copytree(pair_scenario, root)
+    conf = root / "scenario.conf"
+    text = conf.read_text()
+    assert "net.latency = 1:5\n" in text and "net.timeout = 50\n" in text
+    conf.write_text(text.replace("net.latency = 1:5", "net.latency = 20:30")
+                    .replace("net.timeout = 50", "net.timeout = 31"))
+    code = main(["run-co", "--scenario", str(root),
+                 "--out", str(tmp_path / "results")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: agent 'u02' silent past tick 31; "
+                          "round aborted")
     assert "Traceback" not in err
 
 
