@@ -12,6 +12,11 @@ carries the chain's own inputs, so replay re-runs the whole log through
 a `Chain` and accepts it only if every rebuilt record equals the logged
 one byte for byte; `dump_text` renders only a log that replays.
 
+Transaction ids and block digests come from `digest`, which hashes a
+binary encoding too: a canonical-JSON header with every float vector
+lifted out, then the vectors' float64 bytes, so no id prints a float.
+The log itself stays length-prefixed canonical JSON.
+
 There is no cryptography here beyond content digests: sender identity is
 taken at face value, which is the appropriate level of fidelity for a
 desk-scale protocol study.
@@ -88,6 +93,8 @@ class CorruptionError(ChainError):
 _SCALARS = frozenset({float, int, str, bool, type(None)})
 # the number types of a plain payload (no NaN or inf: it would have no id)
 _NUMBERS = frozenset({float, int})
+# the element types of a list that digest hashes as float64 bytes
+_FLOAT = frozenset({float})
 
 
 def _plain(obj):
@@ -116,7 +123,47 @@ def canonical(obj) -> bytes:
 
 
 def digest(obj) -> str:
-    return hashlib.sha256(canonical(obj)).hexdigest()
+    """SHA-256 of a typed binary encoding of plain JSON values: the one
+    content address of the ledger (transaction ids, block digests).
+
+    The encoding mirrors `ContractState.root`: a length-prefixed
+    canonical-JSON header, then the big-endian float64 bytes of every
+    non-empty list that holds floats only, in layout order.  The header
+    holds obj with each such list replaced by null, and beside it the
+    layout: the key path and length of each lifted list, in sorted key
+    order.  It is injective over plain JSON values: the header fixes
+    which lists are lifted and how long they are, so `[1.0]` and `[1]`,
+    `0.0` and `-0.0`, and a vector and a literal null at the same key
+    all give distinct bytes.  A non-finite float has no id: it raises
+    ValueError, inside a lifted list as anywhere else.
+    """
+    layout, floats = [], []
+    header = canonical({"layout": layout,
+                        "value": _lift(obj, [], layout, floats)})
+    h = hashlib.sha256(struct.pack(">I", len(header)) + header)
+    if floats:
+        data = struct.pack(f">{len(floats)}d", *floats)
+        if not np.isfinite(np.frombuffer(data, ">f8")).all():
+            raise ValueError("non-finite float in a hashed vector")
+        h.update(data)
+    return h.hexdigest()
+
+
+def _lift(obj, path, layout, floats):
+    """obj with each non-empty all-float list replaced by None; the list's
+    path and length go to layout and its values to floats, walking dict
+    keys in sorted order."""
+    if isinstance(obj, dict):
+        return {k: _lift(obj[k], [*path, k], layout, floats)
+                for k in sorted(obj)}
+    if isinstance(obj, (list, tuple)):
+        if obj and _FLOAT.issuperset(map(type, obj)):
+            layout.append([path, len(obj)])
+            floats += obj
+            return None
+        return [_lift(v, [*path, i], layout, floats)
+                for i, v in enumerate(obj)]
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -554,16 +601,24 @@ def _reading(height):
 
 
 def _fields(record: dict) -> dict:
+    """A record as replay compares it: its transactions by id, every
+    other field by its canonical bytes."""
     return {k: [t["txid"] for t in v] if k == "txs" else canonical(v)
             for k, v in record.items()}
 
 
-def _check_record(height, rebuilt: dict, logged: dict):
-    """Require the logged record to equal the rebuilt one in canonical
-    bytes; the error names the first field that differs.  Transactions
+def _block_fields(block: Block) -> dict:
+    """`_fields(block.to_record())`, without copying any payload."""
+    return {k: [t.txid for t in v] if k == "txs" else canonical(v)
+            for k, v in {"type": RECORD_BLOCK, **vars(block)}.items()}
+
+
+def _check_record(height, want: dict, logged: dict):
+    """Require the logged record to have the rebuilt record's fields
+    `want`; the error names the first field that differs.  Transactions
     compare by id: replay has derived each logged id from its own
     fields."""
-    want, got = _fields(rebuilt), _fields(logged)
+    got = _fields(logged)
     if got != want:
         name = next(k for k in {**want, **got} if want.get(k) != got.get(k))
         raise CorruptionError(height, f"record field {name!r} differs")
@@ -590,7 +645,7 @@ def replay(source) -> ContractState:
                           genesis["horizon"], genesis["rho"])
         except ChainError as exc:
             raise CorruptionError(None, f"genesis refused ({exc})") from exc
-        _check_record(None, chain.records[0], genesis)
+        _check_record(None, _fields(chain.records[0]), genesis)
     for height, record in enumerate(records[1:]):
         with _reading(height):
             for raw in record["txs"]:
@@ -610,7 +665,7 @@ def replay(source) -> ContractState:
                 raise CorruptionError(
                     height, f"transaction {exc.sender}:{exc.nonce} does "
                     f"not apply ({exc.__cause__})") from exc
-            _check_record(height, block.to_record(), record)
+            _check_record(height, _block_fields(block), record)
     return chain.state()
 
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -106,9 +108,79 @@ def test_record_shares_no_mutable_part_with_the_transaction():
     assert tx.txid == _tx_id(tx.sender, tx.nonce, tx.kind, tx.payload)
 
 
+def _reference_digest(obj) -> str:
+    """digest's encoding spelled out: a canonical-JSON header of obj with
+    each non-empty all-float list replaced by null, beside the key path
+    and length of each such list; then their float64 bytes, big-endian,
+    one value at a time."""
+    lifted = []
+
+    def hollow(v, path):
+        if isinstance(v, dict):
+            return {k: hollow(v[k], path + [k]) for k in sorted(v)}
+        if isinstance(v, (list, tuple)):
+            if v and all(type(x) is float for x in v):
+                lifted.append((path, v))
+                return None
+            return [hollow(x, path + [i]) for i, x in enumerate(v)]
+        return v
+
+    value = hollow(obj, [])
+    header = _reference_canonical(
+        {"layout": [[path, len(v)] for path, v in lifted], "value": value})
+    floats = [x for _, v in lifted for x in v]
+    if not all(math.isfinite(x) for x in floats):
+        raise ValueError("non-finite float")
+    data = len(header).to_bytes(4, "big") + header + b"".join(
+        struct.pack(">d", x) for x in floats)
+    return hashlib.sha256(data).hexdigest()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values, st.lists(_finite, min_size=1, max_size=6))
+def test_digest_matches_the_reference_encoding(obj, vector):
+    assert digest(obj) == _reference_digest(obj)
+    doc = {"v": obj, "w": vector, "n": [vector, [vector, None]]}
+    assert digest(doc) == _reference_digest(doc)
+
+
 def test_digest_is_plain_sha256_of_the_bytes():
-    obj = {"k": [1.0, 2.0], "m": "s"}
-    assert digest(obj) == hashlib.sha256(canonical(obj)).hexdigest()
+    obj = {"k": [1.0, -0.0], "m": "s"}
+    header = b'{"layout":[[["k"],2]],"value":{"k":null,"m":"s"}}'
+    data = len(header).to_bytes(4, "big") + header \
+        + struct.pack(">2d", 1.0, -0.0)
+    assert digest(obj) == _reference_digest(obj) \
+        == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("a, b", [
+    ([1.0], [1]), ([1.0, 2.0], [1, 2.0]), ({"x": [1.0]}, {"x": [1]}),
+    (0.0, -0.0), ([0.0], [-0.0]), ({"x": [1.0, 0.0]}, {"x": [1.0, -0.0]}),
+    ({"x": None}, {"x": [0.5]}), ({"x": []}, {"x": None}),
+    ({"a": [1.0], "b": None}, {"a": None, "b": [1.0]}),
+    ({"a": [1.0, 2.0], "b": [3.0]}, {"a": [1.0], "b": [2.0, 3.0]}),
+    ([[1.0], None], [None, [1.0]]),
+    ({"p": {"q": [1.0]}}, {"p": [[1.0]]}),
+    ({"p": {"q": [1.0]}}, {"p": {"r": [1.0]}}),
+], ids=["list-int", "mixed", "keyed-int", "zero", "list-zero",
+        "keyed-zero", "null-vector", "empty-null", "moved-vector",
+        "split-lengths", "moved-in-list", "dict-or-list", "renamed-key"])
+def test_distinct_values_have_distinct_digests(a, b):
+    assert digest(a) != digest(b)
+
+
+def test_non_finite_floats_have_no_digest():
+    for bad in (float("nan"), [0.0, float("inf")], {"x": [float("nan")]},
+                {"x": [[1.0, float("-inf")]]}, [1, float("nan")]):
+        with pytest.raises(ValueError):
+            digest(bad)
+    for vec in ([float("nan"), 0.0], [0.0, float("inf")]):
+        with pytest.raises(ValueError):
+            trading_tx("u", 0, {"v": vec})
+        with pytest.raises(ValueError):
+            trading_tx("u", 0, {"v": [0.0, 0.0], "w": vec})
+        with pytest.raises(ValueError):
+            service_tx("u", 0, [0.0, 0.0], vec, [0.0, 0.0])
 
 
 def test_tx_id_tracks_content():
@@ -361,7 +433,7 @@ def test_fixed_history_has_a_pinned_state_root():
     assert chain.blocks[-1].state_root == (
         "495ce4451c6be7f1db164f5f61ed7788213308ba984681902935e6249f664f76")
     assert chain.tip() == (
-        "66dbb082b6029b49dddf66cdc8e8f6a2a4e48cce3949544c2ebe223b2188a82a")
+        "3ef3cda53c820af634c51503226dbaf7b6a69ac91257822c7c6cc5ed0eda7706")
     state = chain.state()
     assert np.signbit(state.aux[1, 0, 0])
     assert not np.signbit(state.aux[0, 1, 0])
@@ -763,6 +835,21 @@ def test_block_no_chain_writes_is_corruption_at_its_height(tx):
                        "refused") as err:
         replay(chain.records)
     assert err.value.height == 1
+
+
+def test_nan_in_a_logged_trade_vector_is_corruption_at_its_height(
+        tmp_path):
+    chain = small_chain()
+    run_small_session(chain)
+    records = chain.records
+    records[1]["txs"][1]["payload"]["trades"]["u"][0] = float("nan")
+    path = tmp_path / "chain.log"
+    write_log(path, records)
+    for source in (records, load_log(path)):
+        with pytest.raises(CorruptionError) as err:
+            replay(source)
+        assert err.value.height == 0
+        assert "malformed record" in str(err.value)
 
 
 def test_edited_transaction_is_an_id_mismatch_at_its_height(tmp_path):

@@ -167,7 +167,7 @@ def test_scripted_rounds_give_a_pinned_event_log(tmp_path):
     path = tmp_path / "events.log"
     write_events(events, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "7908e810894a80a9169f50ee0b5c9b2bd34813e18af25a54187ec7e4d233e396"
+        "4c0a5ba22af95deb10c409e1cb350cc733832e189e2f19ae2a0d4283be057560"
 
 
 def test_arrival_exactly_at_the_deadline_still_counts():
