@@ -10,12 +10,19 @@ is an equality (the form of Stellato et al., OSQP, Math. Prog. Comp.
 2020, section 2).  Q and A are held as scipy.sparse CSR matrices, as
 OSQP holds them: the household rows touch a few variables each, so
 every product in the iteration, the residual checks and the
-certificates is a sparse one.  It is solved with an ADMM splitting
-(alternating projections with over-relaxation) that needs a single
-Cholesky factorization of K = Q + sigma I + A' diag(rho) A; that matrix
-is formed sparse and factored dense, and `QpSolver` turns the factor
-into K's inverse once (LAPACK `potri`), so that repeated solves with a
-new linear term (the situation in the trading loop) are cheap.  Each
+certificates is a sparse one.  `QpSolver` binds Q, A and A' once to
+the C kernel that scipy's `A @ x` reaches (`csr_matvec`, see
+`_matvec`) and calls it directly: on a household problem (a few
+thousand nonzeros) `A @ x` takes about twice the kernel's time, all of
+it dispatch, and the same kernel on the same operands gives the same
+bits.  The data must be finite; only lo/hi may hold infinities.
+
+The problem is solved with an ADMM splitting (alternating projections
+with over-relaxation) that needs a single Cholesky factorization of
+K = Q + sigma I + A' diag(rho) A; that matrix is formed sparse and
+factored dense, and `QpSolver` turns the factor into K's inverse once
+(LAPACK `potri`), so that repeated solves with a new linear term (the
+situation in the trading loop) are cheap.  Each
 iteration applies the inverse by one BLAS symmetric matrix-vector
 product (`dsymv`), which reads the stored triangle once where two
 triangular solves read the factor twice.  K's condition number on the
@@ -53,6 +60,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotri
+from scipy.sparse._sparsetools import csr_matvec
 
 from .model import DimensionError
 
@@ -94,7 +102,8 @@ class QpProblem:
     an additive objective constant so built problems can report model
     costs exactly.  quad and A may be given dense or sparse; both are
     held as CSR with sorted indices and no stored zeros, so either input
-    solves identically.
+    solves identically.  Every value must be finite except the bounds,
+    which must not be NaN; QpError names the first field that is not.
     """
 
     n: int
@@ -121,6 +130,15 @@ class QpProblem:
         hi = np.asarray(hi, dtype=float).ravel()
         if not (A.shape[0] == lo.size == hi.size):
             raise DimensionError("constraint rows and bound lengths disagree")
+        # a NaN runs the iteration to its budget or to a wrong status, and
+        # an infinite coefficient has no solution to report; infinite
+        # bounds are open rows
+        for name, values in (("quad", self.quad.data), ("A", A.data),
+                             ("lin", self.lin), ("const", self.const)):
+            _require_finite(name, values)
+        for name, bound in (("lo", lo), ("hi", hi)):
+            if np.isnan(bound).any():
+                raise QpError(f"{name} holds NaN")
         if np.any(lo > hi):
             raise QpError("constraint lower bound exceeds upper bound")
         self.rows = (A, lo, hi)
@@ -154,6 +172,30 @@ def _csr(a) -> sp.csr_array:
     return a
 
 
+def _require_finite(name, values):
+    if not np.isfinite(values).all():
+        raise QpError(f"{name} holds a non-finite value")
+
+
+def _matvec(A: sp.csr_array):
+    """The product `x -> A @ x` for a float vector x, bit for bit.
+
+    It calls the C kernel that `A @ x` reaches, scipy's `csr_matvec`, on
+    a zeroed output, with A's shape and arrays read once here: at the
+    sizes of a household problem `A @ x` takes about twice as long as
+    the kernel alone.
+    """
+    rows, cols = A.shape
+    indptr, indices, data = A.indptr, A.indices, A.data
+
+    def product(x):
+        out = np.zeros(rows)
+        csr_matvec(rows, cols, indptr, indices, data, x, out)
+        return out
+
+    return product
+
+
 def _norm(v) -> float:
     return float(np.max(np.abs(v), initial=0.0))
 
@@ -180,6 +222,9 @@ class QpSolver:
         self.M, self.l, self.u = problem.rows
         self.MT = self.M.T.tocsr()
         self.m = self.M.shape[0]
+        self._P = _matvec(problem.quad)
+        self._A = _matvec(self.M)
+        self._AT = _matvec(self.MT)
         self.eq_mask = np.isfinite(self.l) & (self.l == self.u)
         self.rho = np.full(self.m, STEP)
         self.rho[self.eq_mask] *= EQ_STEP_SCALE
@@ -201,10 +246,9 @@ class QpSolver:
     # -- residuals ---------------------------------------------------------
 
     def _residuals(self, x, y, z, q, tol):
-        P = self.problem.quad
-        Ax = self.M @ x
-        Px = P @ x
-        Aty = self.MT @ y
+        Ax = self._A(x)
+        Px = self._P(x)
+        Aty = self._AT(y)
         r_prim = _norm(Ax - z)
         r_dual = _norm(Px + q + Aty)
         eps_prim = tol + tol * max(_norm(Ax), _norm(z))
@@ -216,7 +260,7 @@ class QpSolver:
         if nd <= 1e-14:
             return False
         eps = INF_TOL * nd
-        if _norm(self.MT @ dy) > eps:
+        if _norm(self._AT(dy)) > eps:
             return False
         up, down = dy > eps, dy < -eps
         if not (np.all(np.isfinite(self.u[up]))
@@ -230,11 +274,11 @@ class QpSolver:
         if nd <= 1e-14:
             return False
         eps = INF_TOL * nd
-        if _norm(self.problem.quad @ dx) > eps:
+        if _norm(self._P(dx)) > eps:
             return False
         if float(q @ dx) > -eps:
             return False
-        Adx = self.M @ dx
+        Adx = self._A(dx)
         hi_ok = np.all(Adx[np.isfinite(self.u)] <= eps)
         lo_ok = np.all(Adx[np.isfinite(self.l)] >= -eps)
         return bool(hi_ok and lo_ok)
@@ -250,6 +294,7 @@ class QpSolver:
         lin, const : optional
             Override the problem's linear term and constant (the quadratic
             and the constraints stay fixed, keeping the factorization valid).
+            Both must be finite.
         warm : bool
             Start from the final iterates of the previous solve.
         tol : float
@@ -263,13 +308,15 @@ class QpSolver:
         cn = self.problem.const if const is None else float(const)
         if q.size != n:
             raise DimensionError(f"lin override length {q.size} != {n}")
+        _require_finite("lin override", q)
+        _require_finite("const override", cn)
 
         if warm and self._last is not None:
             x, y, z = (v.copy() for v in self._last)
         else:
             x = np.zeros(n)
             y = np.zeros(m)
-            z = np.clip(self.M @ x, self.l, self.u)
+            z = np.minimum(np.maximum(self._A(x), self.l), self.u)
 
         status = MAX_ITER
         it = 0
@@ -280,11 +327,11 @@ class QpSolver:
         for it in range(1, ITER_LIMIT + 1):
             x_prev = x
             y_prev = y
-            rhs = SIGMA * x - q + self.MT @ (self.rho * z - y)
+            rhs = SIGMA * x - q + self._AT(self.rho * z - y)
             xt = dsymv(1.0, self.kinv, rhs, lower=1)
             x = RELAX * xt + (1.0 - RELAX) * x
-            zr = RELAX * (self.M @ xt) + (1.0 - RELAX) * z
-            z_new = np.clip(zr + y / self.rho, self.l, self.u)
+            zr = RELAX * self._A(xt) + (1.0 - RELAX) * z
+            z_new = np.minimum(np.maximum(zr + y / self.rho, self.l), self.u)
             y = y + self.rho * (zr - z_new)
             z = z_new
 
@@ -361,10 +408,10 @@ class QpSolver:
         residuals tracking the step size, so the walk settles inside the
         workable range instead of hopping over it.
         """
-        Ax = self.M @ x
+        Ax = self._A(x)
         scale_p = max(_norm(Ax), _norm(z)) + 1e-12
-        Px = self.problem.quad @ x
-        scale_d = max(_norm(Px), _norm(self.MT @ y), _norm(q)) + 1e-12
+        Px = self._P(x)
+        scale_d = max(_norm(Px), _norm(self._AT(y)), _norm(q)) + 1e-12
         ratio = np.sqrt((r_prim / scale_p) / (r_dual / scale_d + 1e-16))
         ratio = float(np.clip(ratio, 0.1, 10.0))
         if ratio > 5.0 or ratio < 0.2:

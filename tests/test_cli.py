@@ -7,6 +7,7 @@ import pytest
 from conftest import read_comparison
 
 from vppsim import qp
+from vppsim.chain import load_log
 from vppsim.cli import main
 from vppsim.scenario_io import gen_synthetic, write_scenario
 
@@ -54,6 +55,28 @@ def test_chain_log_from_a_run_renders_as_text(pair_scenario, tmp_path,
     assert text.startswith("genesis")
     assert "block 0" in text
     assert "trading u01" in text
+
+
+def test_every_event_ref_resolves_in_the_chain_log(pair_scenario, tmp_path,
+                                                  capsys):
+    out = tmp_path / "results"
+    assert main(["run-co", "--scenario", str(pair_scenario),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    genesis, *blocks = load_log(out / "chain_day0.log")
+    digests = {b["digest"] for b in blocks}
+    txids = {t["txid"] for b in blocks for t in b["txs"]}
+    resolves = {"deliver": digests | {genesis["state_root"]},
+                "solve": txids, "arrive": txids, "service": txids,
+                "block": digests, "settle": digests | {"none"}}
+    header, *lines = (out / "events_day0.log").read_text().splitlines()
+    assert header == "# tick\tkind\tnode\tref"
+    kinds = set()
+    for line in lines:
+        _, kind, _, ref = line.split("\t")
+        assert ref in resolves[kind], line
+        kinds.add(kind)
+    assert kinds == set(resolves)
 
 
 def test_oracle_check_passes_at_default_tolerance(pair_scenario, tmp_path,

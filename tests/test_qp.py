@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from qp_oracle import brute_force_qp, random_bounded_qp
 from vppsim import qp
-from vppsim.agent import build_co_primal, build_sa_problem
+from vppsim.agent import (LOOP_TOL, build_co_primal, build_sa_problem,
+                          resolve_trade_cap)
 from vppsim.experiment import centralized_day, day_profile, day_tariff
 from vppsim.qp import (INFEASIBLE, MAX_ITER, OPTIMAL, UNBOUNDED, QpProblem,
                        QpSettings, QpSolution, QpSolver, kkt_residuals)
@@ -146,6 +147,48 @@ def test_primal_certificate_matches_a_per_row_reference():
         assert solver._primal_certificate(dy) == want
         outcomes.append(want)
     assert any(outcomes) and not all(outcomes)
+
+
+def _unit_problem(quad=((1.0, 0.0), (0.0, 1.0)),
+                  A=((1.0, 0.0), (0.0, 1.0)), lin=(1.0, 1.0), const=0.0,
+                  lo=(0.0, 0.0), hi=(1.0, 1.0)):
+    return QpProblem(n=2, quad=np.array(quad), lin=lin,
+                     rows=(np.array(A), lo, hi), const=const)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("quad", [[1.0, np.nan], [np.nan, 1.0]]),
+    ("quad", [[np.inf, 0.0], [0.0, 1.0]]),
+    ("A", [[1.0, np.nan], [0.0, 1.0]]),
+    ("A", [[1.0, 0.0], [0.0, -np.inf]]),
+    ("lin", [np.nan, 1.0]),
+    ("lin", [1.0, np.inf]),
+    ("const", np.inf),
+    ("const", -np.inf),
+    ("lo", [np.nan, 0.0]),
+    ("hi", [1.0, np.nan]),
+])
+def test_non_finite_problem_data_is_refused_by_name(field, value):
+    # unrefused, a NaN in lin runs the whole iteration budget and a NaN
+    # lower bound comes back optimal
+    with pytest.raises(qp.QpError, match=f"^{field} holds"):
+        _unit_problem(**{field: value})
+
+
+def test_infinite_bounds_stay_open_rows():
+    prob = _unit_problem(lo=[-np.inf, 0.0], hi=[1.0, np.inf])
+    assert QpSolver(prob).solve().status == OPTIMAL
+
+
+@pytest.mark.parametrize("override", [
+    {"lin": [np.nan, 1.0]}, {"lin": [1.0, -np.inf]},
+    {"const": np.nan}, {"const": np.inf},
+])
+def test_non_finite_solve_overrides_are_refused_by_name(override):
+    solver = QpSolver(_unit_problem())
+    (field,) = override
+    with pytest.raises(qp.QpError, match=f"^{field} override holds"):
+        solver.solve(**override)
 
 
 def test_dense_and_sparse_data_solve_identically():
@@ -312,6 +355,99 @@ def test_failed_inverse_raises_a_named_error(monkeypatch):
     monkeypatch.setattr(qp, "dpotri", lambda c, lower, overwrite_c: (c, 1))
     with pytest.raises(np.linalg.LinAlgError, match="potri info 1"):
         QpSolver(prob)
+
+
+# -- the products the iteration makes through scipy's CSR kernel -----------
+
+def test_the_products_reach_the_kernel_qp_binds(monkeypatch):
+    # qp calls scipy's private csr_matvec directly, which is bit-identical
+    # to `A @ x` only while that product reaches this kernel; a scipy
+    # release that moves it fails here (or at qp's import) by name
+    from scipy.sparse import _sparsetools
+    assert qp.csr_matvec is _sparsetools.csr_matvec
+    calls = []
+
+    def spy(*args):
+        calls.append(args[:2])
+        return qp.csr_matvec(*args)
+
+    monkeypatch.setattr(_sparsetools, "csr_matvec", spy)
+    sp.random_array((4, 3), density=0.5, format="csr", rng=0) @ np.ones(3)
+    assert calls == [(4, 3)]
+
+
+def test_kernel_products_equal_scipy_products_byte_for_byte():
+    rng = np.random.default_rng(21)
+    A = sp.random_array((40, 30), density=0.2, rng=rng).toarray()
+    A[7] = 0.0
+    A = qp._csr(A)
+    assert np.diff(A.indptr)[7] == 0
+    empty = qp._csr(sp.csr_array((0, 30)))
+    for B in (A, A.T.tocsr(), empty):
+        x = rng.normal(size=B.shape[1])
+        got = qp._matvec(B)(x)
+        want = B @ x
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _co3_agent_problem():
+    # household u01's subproblem in the co3 benchmark's trading loop
+    sc = gen_synthetic(seed=1, users=3, complementary=True)
+    p, *peers = profiles = [day_profile(u, 0, sc.horizon.slots)
+                            for u in sc.users]
+    cap = resolve_trade_cap(sc.algo.trade_cap, profiles)
+    prob, _ = build_co_primal(p, sc.tariff, [v.user_id for v in peers],
+                              sc.algo.rho, trade_cap=cap)
+    return prob
+
+
+def _reference_admm(solver, q, tol, start):
+    """QpSolver.solve's iteration written with scipy's `@` and np.clip, for
+    a solve that stops optimal before a certificate fires or a step
+    rebalance refactors."""
+    P, M, MT, l, u = solver.problem.quad, solver.M, solver.MT, solver.l, \
+        solver.u
+    rho, norm = solver.rho, qp._norm
+    x, y, z = start
+    for it in range(1, qp.ITER_LIMIT + 1):
+        rhs = qp.SIGMA * x - q + MT @ (rho * z - y)
+        xt = qp.dsymv(1.0, solver.kinv, rhs, lower=1)
+        x = qp.RELAX * xt + (1.0 - qp.RELAX) * x
+        zr = qp.RELAX * (M @ xt) + (1.0 - qp.RELAX) * z
+        z_new = np.clip(zr + y / rho, l, u)
+        y = y + rho * (zr - z_new)
+        z = z_new
+        if it % qp.CHECK_EVERY == 0:
+            Ax, Px, Aty = M @ x, P @ x, MT @ y
+            if (norm(Ax - z) <= tol + tol * max(norm(Ax), norm(z))
+                    and norm(Px + q + Aty)
+                    <= tol + tol * max(norm(Px), norm(Aty), norm(q))):
+                return x, y, it
+    raise AssertionError("reference iteration hit the budget")
+
+
+def test_agent_solves_match_a_reference_iteration_bit_for_bit():
+    prob = _co3_agent_problem()
+    solver = QpSolver(prob, QpSettings(polish=False))
+    rho = solver.rho.copy()
+    zero_x = np.zeros(prob.n)
+    cold_start = (zero_x, np.zeros(solver.m),
+                  np.clip(solver.M @ zero_x, solver.l, solver.u))
+    lin = prob.lin + 0.01 * np.random.default_rng(4).normal(size=prob.n)
+    for q, warm in ((prob.lin, False), (lin, True)):
+        start = tuple(v.copy() for v in solver._last) if warm \
+            else cold_start
+        x, y, iterations = _reference_admm(solver, q, LOOP_TOL, start)
+        sol = solver.solve(lin=q, warm=warm, tol=LOOP_TOL)
+        assert sol.status == OPTIMAL
+        assert sol.iterations == iterations
+        assert sol.x.tobytes() == x.tobytes()
+        assert sol.y.tobytes() == y.tobytes()
+        # the cold solve passes a step rebalance, which leaves the step
+        # that the reference holds fixed where it was
+        assert warm or iterations > qp.ADAPT_EVERY
+    assert solver.rho.tobytes() == rho.tobytes()
 
 
 # -- the polish's KKT solve with the pinned pairs eliminated -----------------
