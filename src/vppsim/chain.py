@@ -241,8 +241,7 @@ class ContractState:
 
     The three contract functions are set_trading, compute_dual and
     read_dual.  compute_dual applies the coordination module's pure
-    `step`, so the on-chain arithmetic is the same float64 arithmetic as
-    the in-process loop, down to the last bit.
+    `step`; it is the one place a trading round's dual update runs.
     """
 
     def __init__(self, users, horizon: int, rho: float, balances: dict):
@@ -326,6 +325,14 @@ class ContractState:
         return copy.deepcopy(self)
 
 
+def _committed(state: ContractState) -> ContractState:
+    """Mark the arrays that readers get by reference read-only, so a
+    stray write into committed state raises instead of corrupting it."""
+    for arr in (state.trades, state.aux, state.mult):
+        arr.flags.writeable = False
+    return state
+
+
 def apply_tx(state: ContractState, tx: Transaction):
     """Apply one committed transaction to contract storage.
 
@@ -383,7 +390,8 @@ class Chain:
             raise ChainError("operator account cannot also be a user")
         balances = {OPERATOR: OPERATOR_BALANCE,
                     **dict.fromkeys(users, USER_BALANCE)}
-        self._state = ContractState(users, horizon, rho, balances)
+        self._state = _committed(ContractState(users, horizon, rho,
+                                               balances))
         self._accounts = set(users) | {OPERATOR}
         self._nonces: dict[str, int] = {}
         self._authorities = tuple(authorities)
@@ -408,8 +416,11 @@ class Chain:
         return [_plain(self._genesis), *(b.to_record() for b in self.blocks)]
 
     def state(self) -> ContractState:
-        """Snapshot of committed contract storage."""
-        return self._state.copy()
+        """The committed contract storage itself, not a copy.  It is
+        never written (a block applies its transactions to a copy and
+        swaps that in), so it keeps its root after later blocks; its
+        trades, aux and mult are read-only.  Take `.copy()` to edit."""
+        return self._state
 
     def contract_call(self, fn: str, **kwargs):
         """Read-only contract access against committed state."""
@@ -502,7 +513,7 @@ class Chain:
                 raise TxFailed(tx, exc) from exc
         block = Block(self.height, self.tip(), self.scheduled_proposer(),
                       tuple(txs), work.root())
-        self._state = work
+        self._state = _committed(work)
         self._pool = []
         self.blocks.append(block)
         return block

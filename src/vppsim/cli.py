@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .agent import AgentSolveError, BuildError
 from .chain import ChainError, dump_text
-from .coordinator import ProtocolError
 from .experiment import (ExperimentError, run_co, run_compare, run_sa,
                          run_verify_oracle)
 from .model import InvalidInput
@@ -195,7 +194,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ScenarioError, ExperimentError, ChainError, SimError,
-            InvalidInput, BuildError, AgentSolveError, ProtocolError) as exc:
+            InvalidInput, BuildError, AgentSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

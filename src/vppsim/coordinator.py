@@ -3,15 +3,15 @@
 Holds the dual state over all ordered household pairs, the closed-form
 auxiliary and multiplier updates combined into one pure `step`, the
 convergence test, and the driver that alternates trade exchanges with
-convergence checks until the trade vectors agree.  The driver never
-updates the dual state itself: each exchange returns the next state,
-computed by `step` in process (LocalTransport) or by the ledger's
-contract, which calls the same `step` (simnet.ChainTransport).
+convergence checks until the trade vectors agree.  There is one round
+path: each exchange runs a round through the ledger's contract
+(simnet.ChainTransport), whose `compute_dual` is the only caller of
+`step`, and `run_decentralized` reads every state, the genesis one
+included, from the chain's committed storage; it builds and writes none.
 
 Trades, auxiliary trades and multipliers are (N, N, H) float64 arrays
 over the sorted user ids: [i, j] holds the slot vector of the ordered
-pair (users[i], users[j]) and the diagonal stays 0.  `stack_trades` is
-the one place households' {peer: vector} maps enter this form.
+pair (users[i], users[j]) and the diagonal stays 0.
 
 The update formulas, per ordered pair (u, v) and slot t:
 
@@ -32,12 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import AgentRuntime, DualSlice, resolve_trade_cap
+from .agent import DualSlice, resolve_trade_cap
 from .model import CO, InvalidInput, Schedule, Tariff, check_feasibility
-
-
-class ProtocolError(RuntimeError):
-    """Trade collection does not cover every ordered pair."""
 
 
 @dataclass
@@ -50,17 +46,6 @@ class DualState:
     rho: float
     iteration: int = 0
 
-    @classmethod
-    def zeros(cls, users, horizon: int, rho: float) -> "DualState":
-        users = tuple(sorted(users))
-        if len(users) != len(set(users)):
-            raise InvalidInput("duplicate user ids")
-        if rho <= 0:
-            raise InvalidInput(f"rho must be positive, got {rho}")
-        shape = (len(users), len(users), horizon)
-        return cls(users=users, aux=np.zeros(shape), mult=np.zeros(shape),
-                   rho=rho, iteration=0)
-
     def slice_for(self, u: str) -> DualSlice:
         """The (u, .) rows only; this is all a household may see."""
         i = self.users.index(u)
@@ -70,30 +55,9 @@ class DualState:
                          mult={v: mult[j] for j, v in peers}, rho=self.rho)
 
 
-def stack_trades(users, horizon: int, rows: dict) -> np.ndarray:
-    """Stack rows[u][v], u's trade toward v, into one (N, N, H) array.
-
-    Raises ProtocolError unless every ordered pair of users is present.
-    """
-    pairs = [(u, v) for u in users for v in users if u != v]
-    missing = [(u, v) for u, v in pairs if v not in rows.get(u, {})]
-    if missing:
-        raise ProtocolError(f"trades missing for pairs {missing[:4]}")
-    trades = np.zeros((len(users), len(users), horizon))
-    trades[~np.eye(len(users), dtype=bool)] = [rows[u][v] for u, v in pairs]
-    return trades
-
-
-def _pairs(arr, state: DualState) -> np.ndarray:
-    arr = np.asarray(arr, float)
-    if arr.shape != state.aux.shape:
-        raise ProtocolError(f"pair array {arr.shape} != {state.aux.shape}")
-    return arr
-
-
 def dual_update(trades, state: DualState) -> np.ndarray:
     """Closed-form auxiliary update; exactly antisymmetric by construction."""
-    p = _pairs(trades, state)
+    p = trades
     rho, m = state.rho, state.mult
     i, j = np.triu_indices(len(state.users), 1)
     upper = (rho * (p[i, j] - p[j, i]) - (m[i, j] - m[j, i])) / (2.0 * rho)
@@ -105,8 +69,7 @@ def dual_update(trades, state: DualState) -> np.ndarray:
 
 def lambda_update(state: DualState, aux, trades) -> np.ndarray:
     """Multiplier ascent step on the trade disagreement."""
-    return state.mult + state.rho * (_pairs(aux, state)
-                                     - _pairs(trades, state))
+    return state.mult + state.rho * (aux - trades)
 
 
 def step(state: DualState, trades) -> DualState:
@@ -134,8 +97,8 @@ def convergence(state: DualState, prev_mult, trades,
     Both sums run over (u, v) then (v, u) for each u < v, a fixed order
     that keeps the gaps identical to the last bit from run to run.
     """
-    gap = state.aux - _pairs(trades, state)
-    moved = state.mult - np.asarray(prev_mult, float)
+    gap = state.aux - trades
+    moved = state.mult - prev_mult
     primal = 0.0
     dual_sq = 0.0
     for i, j in zip(*np.triu_indices(len(state.users), 1)):
@@ -188,65 +151,25 @@ class RunResult:
     feasible: bool
 
 
-class LocalTransport:
-    """In-process message channel: slices go out, trade vectors come back."""
-
-    def __init__(self, profiles, tariff: Tariff, cfg: AlgoConfig):
-        profiles = sorted(profiles, key=lambda p: p.user_id)
-        ids = [p.user_id for p in profiles]
-        cap = resolve_trade_cap(cfg.trade_cap, profiles)
-        self.agents = {
-            p.user_id: AgentRuntime(
-                p, tariff, [v for v in ids if v != p.user_id],
-                cfg.rho, cap)
-            for p in profiles}
-
-    def exchange(self, state: DualState) -> tuple[np.ndarray, DualState]:
-        """One round of agent solves; returns the trades and next state."""
-        rows = {u: self.agents[u].solve_round(state.slice_for(u))
-                for u in state.users}
-        trades = stack_trades(state.users, state.aux.shape[2], rows)
-        return trades, step(state, trades)
-
-    def finish(self):
-        """Re-solve every household's last round at the tight tolerance."""
-        for a in self.agents.values():
-            a.finish()
-
-    def inner_iterations(self) -> list[int]:
-        return [a.iterations for a in self.agents.values()]
-
-    def schedules(self):
-        return {u: a.schedule for u, a in self.agents.items()}
-
-    def costs(self):
-        return {u: a.cost for u, a in self.agents.items()}
-
-
 def run_decentralized(profiles, tariff: Tariff, cfg: AlgoConfig,
-                      transport=None) -> RunResult:
+                      transport) -> RunResult:
     """Alternate trade exchanges with convergence checks.
 
-    Starts from zero multipliers and zero auxiliary trades; each exchange
-    returns the next dual state.  Stops when the convergence test passes
-    or cfg.max_iter is exhausted (the result is then flagged
-    converged=False and carries the last iterate).  Either way every
-    household then re-solves its last round at the tight tolerance, and
-    the schedules, costs and feasibility come from those solves.
+    Starts from the transport chain's genesis state, zero multipliers and
+    zero auxiliary trades; each exchange runs one round on the chain and
+    returns its trades and the next committed dual state.  Stops when the
+    convergence test passes or cfg.max_iter is exhausted (the result is
+    then flagged converged=False and carries the last iterate).  Either
+    way every household then re-solves its last round at the tight
+    tolerance, and the schedules, costs and feasibility come from those
+    solves.
     """
-    profiles = sorted(profiles, key=lambda p: p.user_id)
-    if len(profiles) < 2:
-        raise InvalidInput("decentralized run needs at least two households")
-    H = profiles[0].horizon
-    if transport is None:
-        transport = LocalTransport(profiles, tariff, cfg)
-    state = DualState.zeros([p.user_id for p in profiles], H, cfg.rho)
+    state = transport.chain.state().dual()
     trace: list[TraceRecord] = []
-    trades = np.zeros_like(state.aux)
     converged = False
     for _ in range(cfg.max_iter):
         prev_mult = state.mult
-        trades, state = transport.exchange(state)
+        trades, state = transport.exchange()
         rep = convergence(state, prev_mult, trades, cfg.eps1, cfg.eps2)
         inner = transport.inner_iterations()
         trace.append(TraceRecord(iteration=state.iteration,

@@ -534,13 +534,14 @@ class QpSolver:
 
 def kkt_residuals(problem: QpProblem, sol: QpSolution,
                   lin=None) -> dict:
-    """Stationarity, feasibility, and complementarity residuals (inf-norm).
-
-    Equality rows (finite lo == hi) carry no complementarity term.
+    """Stationarity, feasibility, complementarity and sign residuals
+    (inf-norm).  sign is the largest |y| pushing on a missing bound: y > 0
+    with hi = +inf, or y < 0 with lo = -inf.  Equality rows (finite
+    lo == hi) carry no complementarity or sign term.
 
     Returns
     -------
-    dict with keys 'primal', 'dual', 'comp'.
+    dict with keys 'primal', 'dual', 'comp', 'sign'.
     """
     q = problem.lin if lin is None else np.asarray(lin, float).ravel()
     A, lo, hi = problem.rows
@@ -554,16 +555,15 @@ def kkt_residuals(problem: QpProblem, sol: QpSolution,
     down = ineq & (y < 0) & np.isfinite(lo)
     comp = max(_norm(y[up] * (hi[up] - Ax[up])),
                _norm(y[down] * (Ax[down] - lo[down])))
+    sign = max(_norm(y[ineq & (y > 0) & ~np.isfinite(hi)]),
+               _norm(y[ineq & (y < 0) & ~np.isfinite(lo)]))
     return {"primal": max(_norm(below), _norm(above)), "dual": _norm(grad),
-            "comp": comp}
+            "comp": comp, "sign": sign}
 
 
 def _kkt_max(problem, sol, q) -> float:
-    r = kkt_residuals(problem, sol, lin=q)
-    vals = [r["primal"], r["dual"], r["comp"]]
-    if any(not np.isfinite(v) for v in vals):
-        return np.inf
-    return max(vals)
+    vals = kkt_residuals(problem, sol, lin=q).values()
+    return max(vals) if all(np.isfinite(v) for v in vals) else np.inf
 
 
 def _kkt_solver(Q, G, delta):

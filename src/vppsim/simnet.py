@@ -1,14 +1,17 @@
-"""Round-based message harness between household agents and the chain.
+"""Round-based message harness between household agents and the chain:
+the one path a trading round takes.
 
-Each trading iteration is simulated as a discrete-tick event sequence:
-the chain's dual state goes out to every agent over a link latency (one
-latency for every link), each agent solves its local problem and sends a
-trading transaction back, the scheduled authority seals a block once the
-last transaction arrives, and the block application triggers the dual
-update.  Every tick of a round is drawn before any agent solves, so a
-round that would time out leaves the chain as it found it.  A fixed seed
-fixes every latency draw, so at a fixed BLAS thread count (see qp.py)
-the full tick-by-tick event log is reproducible; arrival order never
+Each round is simulated as a discrete-tick event sequence: the chain's
+dual state goes out to every agent over a link latency (one latency for
+every link), each agent solves its local problem and sends a trading
+transaction back, the scheduled authority seals a block once the last
+transaction arrives, and the block application runs the contract's dual
+update.  The coordination state lives only in the chain's committed
+storage, which is never written, so rounds read it by reference.
+Every tick of a round is drawn before any agent solves, so a round that
+would time out leaves the chain as it found it.  A fixed seed fixes
+every latency draw, so at a fixed BLAS thread count (see qp.py) the
+full tick-by-tick event log is reproducible; arrival order never
 matters because the update only runs on the complete trade map.
 Every event ref is an address in the chain log: `deliver` names the tip
 (block digest or genesis root) the dual slice was read from; `solve`,
@@ -21,8 +24,9 @@ import numpy as np
 
 # digest stays bound here: perfbench's tracer test wraps it in this module
 from .chain import OPERATOR, Chain, digest, service_tx, trading_tx  # noqa
-from .coordinator import AlgoConfig, DualState, LocalTransport
-from .model import Tariff
+from .agent import AgentRuntime, resolve_trade_cap
+from .coordinator import AlgoConfig, DualState
+from .model import InvalidInput, Tariff
 
 
 class SimError(Exception):
@@ -143,34 +147,57 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
     return RoundOutcome(block=block, end_tick=end_tick)
 
 
-class ChainTransport(LocalTransport):
-    """Message channel for the trading loop that routes through the chain.
+class ChainTransport:
+    """Message channel for the trading loop, routed through the chain.
 
-    Drop-in replacement for the in-process transport, with the same
-    agents: each exchange runs one simulated network round, and both the
-    trades and the next dual state are read from the contract state
-    committed with that round's block, so the chain is the only place
-    the coordination update runs.
+    Owns the household agents and the chain.  Each exchange runs one
+    simulated network round, and both the trades and the next dual state
+    are read from the contract state committed with that round's block,
+    so the chain is the only place the coordination update runs.
     """
 
     def __init__(self, profiles, tariff: Tariff, cfg: AlgoConfig,
                  net: NetConfig | None = None):
-        super().__init__(profiles, tariff, cfg)
-        self.chain = Chain(sorted(self.agents),
-                           [f"auth{i}" for i in range(5)],
+        profiles = sorted(profiles, key=lambda p: p.user_id)
+        if len(profiles) < 2:
+            raise InvalidInput(
+                "decentralized run needs at least two households")
+        ids = [p.user_id for p in profiles]
+        cap = resolve_trade_cap(cfg.trade_cap, profiles)
+        self.agents = {
+            p.user_id: AgentRuntime(
+                p, tariff, [v for v in ids if v != p.user_id],
+                cfg.rho, cap)
+            for p in profiles}
+        self.chain = Chain(ids, [f"auth{i}" for i in range(5)],
                            profiles[0].horizon, rho=cfg.rho)
         self.net = net if net is not None else NetConfig()
         self.rng = np.random.default_rng(self.net.seed)
         self.events: list[EventRecord] = []
         self.tick = 0
 
-    def exchange(self, state: DualState) -> tuple[np.ndarray, DualState]:
-        outcome = run_round(state.iteration, self.agents, self.chain,
-                            self.net, self.rng, start_tick=self.tick,
-                            events=self.events)
+    def exchange(self) -> tuple[np.ndarray, DualState]:
+        """Run the committed round; returns its trades and the next state."""
+        outcome = run_round(self.chain.state().round, self.agents,
+                            self.chain, self.net, self.rng,
+                            start_tick=self.tick, events=self.events)
         self.tick = outcome.end_tick + 1
         committed = self.chain.state()
         return committed.trades, committed.dual()
+
+    def finish(self):
+        """Re-solve every household's last round at the tight tolerance."""
+        for a in self.agents.values():
+            a.finish()
+
+    def inner_iterations(self) -> list[int]:
+        return [a.iterations for a in self.agents.values()]
+
+    def schedules(self):
+        return {u: a.schedule for u, a in self.agents.items()}
+
+    def costs(self):
+        return {u: a.cost for u, a in self.agents.items()}
 
     # -- post-convergence -------------------------------------------------
 

@@ -14,8 +14,7 @@ import pytest
 from qp_oracle import brute_force_qp, random_bounded_qp
 
 from vppsim.chain import ContractState, replay
-from vppsim.coordinator import (DualState, dual_update, lambda_update,
-                                stack_trades)
+from vppsim.coordinator import DualState, dual_update, lambda_update
 from vppsim.experiment import (centralized_day, day_profile, day_tariff,
                                run_compare, run_co, run_sa)
 from vppsim.model import (CO, InvalidInput, Schedule, check_feasibility,
@@ -116,7 +115,8 @@ def test_criterion_4_trades_agree_across_every_pair(survey, big_run):
     # antisymmetry of the auxiliary update, exact, on random inputs
     rng = np.random.default_rng(0)
     exact = True
-    state = DualState.zeros(["u", "v", "w"], 6, 1.0)
+    state = DualState(users=("u", "v", "w"), aux=np.zeros((3, 3, 6)),
+                      mult=np.zeros((3, 3, 6)), rho=1.0)
     off = ~np.eye(3, dtype=bool)
     for _ in range(500):
         state.mult[off] = rng.normal(size=(6, 6))
@@ -192,16 +192,19 @@ def test_criterion_7_the_ledger_replays_deterministically(tmp_path,
     # contract arithmetic against the pure update functions
     rng = np.random.default_rng(1)
     users, H, rho = ["a", "b", "c"], 4, 1.0
+    shape = (len(users), len(users), H)
+    off = ~np.eye(len(users), dtype=bool)
     contract = ContractState(users, H, rho, {})
-    mirror = DualState.zeros(users, H, rho)
+    mirror = DualState(users=tuple(users), aux=np.zeros(shape),
+                       mult=np.zeros(shape), rho=rho)
     bitwise = True
     for k in range(1000):
-        rows = {u: {v: rng.normal(size=H) for v in users if v != u}
-                for u in users}
-        for u in users:
-            contract.set_trading(u, rows[u])
+        trades = np.zeros(shape)
+        trades[off] = rng.normal(size=(off.sum(), H))
+        for i, u in enumerate(users):
+            contract.set_trading(u, {v: trades[i, j]
+                                     for j, v in enumerate(users) if j != i})
         contract.compute_dual()
-        trades = stack_trades(users, H, rows)
         aux = dual_update(trades, mirror)
         mult = lambda_update(mirror, aux, trades)
         mirror = DualState(users=mirror.users, aux=aux, mult=mult, rho=rho,

@@ -17,8 +17,7 @@ from vppsim.chain import (Block, Chain, ChainError, ContractError,
                           canonical, digest, dump_text, load_log, replay,
                           service_tx, trading_tx, transfer_tx)
 from vppsim.cli import main
-from vppsim.coordinator import (DualState, dual_update, lambda_update,
-                                stack_trades)
+from vppsim.coordinator import DualState, dual_update, lambda_update
 from vppsim.model import Schedule
 
 
@@ -360,8 +359,10 @@ def test_malformed_transaction_shape_is_refused_by_name(sender, nonce, kind,
 def test_trading_payload_must_cover_exactly_the_peers():
     chain = Chain(["a", "b", "c"], ["a0"], 2)
     z = [0.0, 0.0]
-    for trades in ({"b": z}, {"b": z, "c": z, "x": z}, {"a": z, "b": z}):
-        with pytest.raises(TxRejected):
+    # a peer left out, an unknown user named, the sender itself named
+    for trades in ({"b": z}, {"b": z, "c": z, "x": z}, {"a": z, "b": z},
+                   {"a": z, "b": z, "c": z}):
+        with pytest.raises(TxRejected, match="must cover exactly"):
             chain.submit_tx(trading_tx("a", 0, trades))
     with pytest.raises(TxRejected):
         chain.submit_tx(trading_tx("operator", 0, {"a": z, "b": z, "c": z}))
@@ -394,15 +395,18 @@ def test_completed_round_runs_the_dual_update_on_chain():
 def test_contract_matches_coordinator_bit_for_bit():
     rng = np.random.default_rng(0)
     users, H, rho = ["a", "b", "c"], 4, 1.0
+    shape = (len(users), len(users), H)
+    off = ~np.eye(len(users), dtype=bool)
     contract = ContractState(users, H, rho, {})
-    mirror = DualState.zeros(users, H, rho)
+    mirror = DualState(users=tuple(users), aux=np.zeros(shape),
+                       mult=np.zeros(shape), rho=rho)
     for k in range(50):
-        rows = {u: {v: rng.normal(size=H) for v in users if v != u}
-                for u in users}
-        for u in users:
-            contract.set_trading(u, rows[u])
+        trades = np.zeros(shape)
+        trades[off] = rng.normal(size=(off.sum(), H))
+        for i, u in enumerate(users):
+            contract.set_trading(u, {v: trades[i, j]
+                                     for j, v in enumerate(users) if j != i})
         contract.compute_dual()
-        trades = stack_trades(users, H, rows)
         aux = dual_update(trades, mirror)
         mult = lambda_update(mirror, aux, trades)
         mirror = DualState(users=mirror.users, aux=aux, mult=mult, rho=rho,
@@ -434,11 +438,39 @@ def test_fixed_history_has_a_pinned_state_root():
         "495ce4451c6be7f1db164f5f61ed7788213308ba984681902935e6249f664f76")
     assert chain.tip() == (
         "3ef3cda53c820af634c51503226dbaf7b6a69ac91257822c7c6cc5ed0eda7706")
-    state = chain.state()
+    state = chain.state().copy()
     assert np.signbit(state.aux[1, 0, 0])
     assert not np.signbit(state.aux[0, 1, 0])
     state.aux[1, 0, 0] = 0.0
     assert state.root() != chain.blocks[-1].state_root
+
+
+def test_committed_state_is_read_only_and_keeps_its_root():
+    chain = small_chain()
+    genesis = chain.state()
+    chain.submit_tx(trading_tx("u", 0, {"v": [0.5, 0.0]}))
+    chain.submit_tx(trading_tx("v", 0, {"u": [0.1, 0.0]}))
+    chain.produce_block()
+    first = chain.state()
+    chain.submit_tx(trading_tx("u", 1, {"v": [0.2, 0.0]}))
+    chain.submit_tx(trading_tx("v", 1, {"u": [0.3, 0.0]}))
+    chain.produce_block()
+    chain.settle({u: zero_schedule(2, e_fit=[1.0, 0.0]) for u in "uv"},
+                 toy_tariff(2, pi_fit=0.1))
+    # states taken at earlier heights are the ones those blocks committed
+    assert genesis.round == 0 and first.round == 1
+    assert chain.state().round == 2
+    assert genesis.root() == chain.records[0]["state_root"]
+    assert first.root() == chain.blocks[0].state_root
+    for arr in (first.trades, first.aux, first.mult):
+        with pytest.raises(ValueError):
+            arr[0, 1, 0] = 1.0
+    with pytest.raises(ValueError):
+        chain.state().aux[0, 1, 0] = 1.0
+    # a copy is the way to edit one, and leaves the chain alone
+    edit = chain.state().copy()
+    edit.aux[0, 1, 0] = 1.0
+    assert chain.state().root() == chain.blocks[-1].state_root != edit.root()
 
 
 def _rich_state():

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from vppsim import qp
 from vppsim.agent import AgentSolveError
-from vppsim.coordinator import (AlgoConfig, DualState, LocalTransport,
-                                ProtocolError, convergence, dual_update,
-                                lambda_update, run_decentralized,
-                                stack_trades)
+from vppsim.chain import Chain, ChainError
+from vppsim.coordinator import (AlgoConfig, DualState, convergence,
+                                dual_update, lambda_update,
+                                run_decentralized)
 from vppsim.model import InvalidInput
+from vppsim.simnet import ChainTransport
 
 # rows and columns of the (2, 2, H) pair arrays over users ("u", "v")
 PAIR = (0, 1)
@@ -20,7 +21,8 @@ RAIP = (1, 0)
 
 
 def pair_state(rho=1.0, mult_uv=0.0, mult_vu=0.0, H=1):
-    s = DualState.zeros(["u", "v"], H, rho)
+    s = DualState(users=("u", "v"), aux=np.zeros((2, 2, H)),
+                  mult=np.zeros((2, 2, H)), rho=rho)
     s.mult[PAIR] = mult_uv
     s.mult[RAIP] = mult_vu
     return s
@@ -35,16 +37,17 @@ def pair_array(uv, vu):
     return out
 
 
-def test_zeros_layout_and_validation():
-    s = DualState.zeros(["b", "a"], 3, 2.0)
-    assert s.iteration == 0
+def test_genesis_dual_is_zero_over_sorted_users():
+    # the state every run starts from is the chain's committed genesis
+    s = Chain(["b", "a"], ["a0"], 3, rho=2.0).state().dual()
+    assert s.iteration == 0 and s.rho == 2.0
     assert s.users == ("a", "b")
     assert s.aux.shape == s.mult.shape == (2, 2, 3)
-    assert np.all(s.aux == 0.0)
-    with pytest.raises(InvalidInput):
-        DualState.zeros(["a", "a"], 3, 1.0)
-    with pytest.raises(InvalidInput):
-        DualState.zeros(["a", "b"], 3, 0.0)
+    assert np.all(s.aux == 0.0) and np.all(s.mult == 0.0)
+    with pytest.raises(ChainError):
+        Chain(["a", "a"], ["a0"], 3)
+    with pytest.raises(ChainError):
+        Chain(["a", "b"], ["a0"], 3, rho=0.0)
 
 
 def test_zero_trades_keep_zero_state():
@@ -105,13 +108,6 @@ def test_exact_agreement_converges():
     assert rep.converged
 
 
-def test_missing_pair_is_a_protocol_error():
-    with pytest.raises(ProtocolError):
-        stack_trades(("u", "v"), 1, {"u": {"v": np.zeros(1)}})
-    with pytest.raises(ProtocolError):
-        dual_update(np.zeros((2, 2, 2)), pair_state())
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=4),
        st.lists(st.floats(-50, 50), min_size=1, max_size=4),
@@ -139,7 +135,8 @@ def test_stationary_multipliers_force_consistency(x, y):
 
 
 def test_slice_shows_one_households_rows_only():
-    s = DualState.zeros(["a", "b", "c"], 2, 1.0)
+    s = DualState(users=("a", "b", "c"), aux=np.zeros((3, 3, 2)),
+                  mult=np.zeros((3, 3, 2)), rho=1.0)
     s.mult[0, 1] = [1.0, 2.0]
     s.mult[1, 0] = [9.0, 9.0]
     sl = s.slice_for("a")
@@ -149,13 +146,19 @@ def test_slice_shows_one_households_rows_only():
     assert s.mult[0, 1, 0] == 1.0
 
 
+def run_loop(profiles, tariff, cfg=None):
+    cfg = cfg or AlgoConfig()
+    transport = ChainTransport(profiles, tariff, cfg)
+    return run_decentralized(profiles, tariff, cfg, transport), transport
+
+
 def test_households_with_nothing_to_gain_stop_at_once():
     # Two bare profiles: no load, no generation.  The first round already
     # produces (numerically) zero trades, so the loop converges at
     # iteration 1; trade dust is bounded by the inner solver tolerance.
     a = toy_profile("u1", H=2)
     b = toy_profile("u2", H=2)
-    res = run_decentralized([a, b], toy_tariff(2), AlgoConfig())
+    res, _ = run_loop([a, b], toy_tariff(2))
     assert res.converged and res.iterations == 1
     for s in res.schedules.values():
         for vec in s.trades.values():
@@ -165,18 +168,21 @@ def test_households_with_nothing_to_gain_stop_at_once():
 def test_surplus_pair_full_loop():
     profiles = surplus_pair(H=4)
     tariff = toy_tariff(4, pi_fit=0.1)
-    res = run_decentralized(profiles, tariff, AlgoConfig())
+    res, transport = run_loop(profiles, tariff)
     assert res.converged and res.feasible
     assert res.trade_residual <= 1e-4
     assert res.trace[-1].iteration == res.iterations
     assert res.trace[-1].primal_gap <= 1e-6
+    # one block per round, and the contract finished on the last round
+    assert transport.chain.height == res.iterations > 2
+    assert transport.chain.state().round == res.iterations
     # the consumer ends up buying from the producer
     assert float(np.sum(res.schedules["ub"].trades["ua"])) > 0.1
 
 
 def test_single_household_is_rejected():
     with pytest.raises(InvalidInput):
-        run_decentralized([toy_profile()], toy_tariff(4), AlgoConfig())
+        ChainTransport([toy_profile()], toy_tariff(4), AlgoConfig())
 
 
 def test_failed_subproblem_names_the_household(monkeypatch):
@@ -184,7 +190,7 @@ def test_failed_subproblem_names_the_household(monkeypatch):
     monkeypatch.setattr(qp, "CHECK_EVERY", 1)
     profiles = surplus_pair(H=4)
     tariff = toy_tariff(4, pi_fit=0.1)
-    starved = LocalTransport(profiles, tariff, AlgoConfig())
     with pytest.raises(AgentSolveError) as err:
-        run_decentralized(profiles, tariff, AlgoConfig(), transport=starved)
-    assert err.value.user == "ua"
+        run_loop(profiles, tariff)
+    # the first agent in the round's delivery order solves first
+    assert err.value.user == "ub"

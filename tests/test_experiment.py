@@ -1,11 +1,17 @@
 """Day slicing, multi-day battery chaining, and the oracle cross-check."""
 
+import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import toy_profile, toy_tariff
 
+import vppsim
 from vppsim.chain import replay
 from vppsim.experiment import (ExperimentError, day_profile, day_tariff,
                                run_co, run_sa, run_verify_oracle)
@@ -114,3 +120,33 @@ def test_expensive_peer_energy_ends_feasible():
         res = run_co(sc, settle=False)
     assert res.converged
     assert res.feasible
+
+
+PINNED_DAY = """
+import sys
+from vppsim.experiment import run_co
+from vppsim.scenario_io import gen_synthetic
+run = run_co(gen_synthetic(seed=1, users=2, slots=8, complementary=True))
+transport = run.transports[0]
+transport.save_events(sys.argv[1])
+print(transport.chain.tip(), run.iterations[0])
+"""
+
+
+def test_a_run_co_day_has_pinned_bytes(tmp_path):
+    # The tip repeats only at a fixed BLAS thread count (c8d2f121... at
+    # two threads), so the day runs in its own process on one thread.
+    src = str(Path(vppsim.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    events = tmp_path / "events_day0.log"
+    out = subprocess.run([sys.executable, "-c", PINNED_DAY, str(events)],
+                         env=env, capture_output=True, text=True,
+                         check=True)
+    tip, rounds = out.stdout.split()
+    assert tip == ("e3f3f701feaa8b5cfd30fd77f267fabd"
+                   "e2d7dee8875a26beaf13f50e92102c11")
+    assert int(rounds) == 11
+    assert hashlib.sha256(events.read_bytes()).hexdigest() == (
+        "cb700fda86f2dc79a18d6ceb5eb4de4e2b8dc3036334aacdef255bec6be50e4e")

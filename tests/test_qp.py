@@ -74,20 +74,23 @@ def test_perturbed_point_shows_in_residuals():
 def test_kkt_residuals_match_a_per_row_reference():
     # the vectorized residuals against a row-by-row evaluation, on random
     # points and multipliers of both signs; equality rows (lo == hi)
-    # contribute feasibility and stationarity but no complementarity
+    # contribute feasibility and stationarity but no complementarity; a
+    # multiplier pushing on a missing bound shows as a sign term
     rng = np.random.default_rng(5)
+    open_hi = np.random.default_rng(6)
     for _ in range(20):
         prob = random_bounded_qp(rng)
         A, lo, hi = prob.rows
         A = A.toarray()
         lo = np.where(rng.random(lo.size) < 0.2, -np.inf, lo)
+        hi = np.where(open_hi.random(hi.size) < 0.2, np.inf, hi)
         prob = QpProblem(n=prob.n, quad=prob.quad, lin=prob.lin,
                          rows=(A, lo, hi))
         x = rng.normal(size=prob.n)
         y = rng.normal(size=lo.size)
         res = kkt_residuals(prob, QpSolution(x=x, y=y, status=OPTIMAL,
                                              iterations=0, residuals={}))
-        primal = comp = 0.0
+        primal = comp = sign = 0.0
         for i in range(lo.size):
             v = A[i] @ x
             if np.isfinite(lo[i]):
@@ -95,13 +98,16 @@ def test_kkt_residuals_match_a_per_row_reference():
             primal = max(primal, v - hi[i])
             if lo[i] == hi[i]:
                 continue
-            if y[i] > 0:
+            if y[i] > 0 and np.isfinite(hi[i]):
                 comp = max(comp, abs(y[i] * (hi[i] - v)))
             elif y[i] < 0 and np.isfinite(lo[i]):
                 comp = max(comp, abs(y[i] * (v - lo[i])))
+            elif y[i] != 0:
+                sign = max(sign, abs(y[i]))
         grad = prob.quad @ x + prob.lin + A.T @ y
         assert res["primal"] == pytest.approx(primal, rel=1e-12)
         assert res["comp"] == pytest.approx(comp, rel=1e-12)
+        assert res["sign"] == sign
         assert res["dual"] == np.max(np.abs(grad))
 
 
@@ -299,9 +305,12 @@ def test_default_tolerance_keeps_the_oracle5_objective():
 
 def _two_household_solver():
     sc = gen_synthetic(seed=1, users=2, complementary=True)
-    p, peer = (day_profile(u, 0, sc.horizon.slots) for u in sc.users)
+    profiles = [day_profile(u, 0, sc.horizon.slots) for u in sc.users]
+    p, peer = profiles
+    # the per-pair trade box rows, as the trading loop always builds them
+    cap = resolve_trade_cap(sc.algo.trade_cap, profiles)
     prob, _ = build_co_primal(p, sc.tariff, [peer.user_id], 1.0,
-                              trade_cap=sc.algo.trade_cap)
+                              trade_cap=cap)
     return prob, QpSolver(prob, QpSettings(polish=False))
 
 
@@ -601,6 +610,28 @@ def test_survey_seed_11_household_u02_still_polishes():
     assert sol.status == OPTIMAL and sol.polished
     res = kkt_residuals(prob, sol)
     assert max(res.values()) <= qp.TOL
+
+
+def test_polish_refuses_a_multiplier_on_a_missing_bound():
+    # min 0.5 x^2 + x  s.t.  x >= -2: the optimum is x = -1, off the bound.
+    # Pinning the row gives x = -2 with y = +1, a stationary point whose
+    # multiplier pushes on the row's missing upper side; the polish must
+    # drop the row instead of certifying that point.
+    prob = QpProblem(n=1, quad=np.array([[1.0]]), lin=np.array([1.0]),
+                     rows=(np.array([[1.0]]), np.array([-2.0]),
+                           np.array([np.inf])))
+    pinned = QpSolution(x=np.array([-2.0]), y=np.array([1.0]),
+                        status=OPTIMAL, iterations=0, residuals={})
+    assert kkt_residuals(prob, pinned)["sign"] == 1.0
+    solver = QpSolver(prob)
+    sol = QpSolution(x=np.array([-2.0]), y=np.zeros(1), status=MAX_ITER,
+                     iterations=0, residuals={}, objective=0.0)
+    solver._polish(sol, prob.lin, prob.const, z=np.array([-2.0]),
+                   require=qp.TOL)
+    assert sol.status == OPTIMAL and sol.polished
+    np.testing.assert_allclose(sol.x, [-1.0], atol=1e-9)
+    assert sol.objective == pytest.approx(-0.5, abs=1e-9)
+    assert max(kkt_residuals(prob, sol).values()) <= qp.TOL
 
 
 def test_polished_solution_reports_its_own_residuals():
