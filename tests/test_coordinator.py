@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from vppsim import qp
 from vppsim.agent import AgentSolveError
-from vppsim.chain import Chain, ChainError
+from vppsim.chain import (Chain, ChainError, ContractError, ContractState,
+                          TxRejected, trading_tx)
 from vppsim.coordinator import (AlgoConfig, DualState, convergence,
                                 dual_update, lambda_update,
                                 run_decentralized)
@@ -106,6 +107,19 @@ def test_exact_agreement_converges():
     rep = convergence(s, s.mult.copy(), trades, 1e-6, 1e-6)
     assert rep.primal_gap == 0.0 and rep.dual_gap == 0.0
     assert rep.converged
+
+
+def test_missing_pair_is_a_protocol_error():
+    # a trade map without one of the sender's peers never enters a round
+    chain = Chain(["u", "v", "w"], ["a0"], 1)
+    with pytest.raises(TxRejected, match="must cover exactly"):
+        chain.submit_tx(trading_tx("u", 0, {"v": [0.0]}))
+    # and a round with a household's trades missing cannot be updated
+    contract = ContractState(["u", "v"], 1, 1.0, {})
+    contract.set_trading("u", {"v": np.zeros(1)})
+    with pytest.raises(ContractError, match="missing trades from v"):
+        contract.compute_dual()
+    assert contract.round == 0
 
 
 @settings(max_examples=60, deadline=None)

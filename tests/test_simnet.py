@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from conftest import surplus_pair, toy_tariff
 
-from vppsim.agent import AgentRuntime
-from vppsim.chain import Chain
-from vppsim.coordinator import AlgoConfig, run_decentralized
+from vppsim.agent import AgentRuntime, resolve_trade_cap
+from vppsim.chain import Chain, ContractState
+from vppsim.coordinator import AlgoConfig, convergence, run_decentralized
 from vppsim.experiment import run_co
 from vppsim.scenario_io import gen_synthetic
 from vppsim.simnet import (ChainTransport, NetConfig, RoundTimeout,
@@ -197,6 +197,38 @@ def test_same_seed_reproduces_the_event_log_exactly():
         assert res.converged
         logs.append(list(transport.events))
     assert logs[0] == logs[1]
+
+
+def test_networked_run_matches_the_in_process_run():
+    # Feeding the contract directly, with no network, transactions or
+    # blocks, must give the networked run's gaps, costs and final state
+    # bit for bit.
+    sc = gen_synthetic(seed=1, users=3, slots=8, complementary=True)
+    profiles, tariff, cfg = sc.users, sc.tariff, sc.algo
+    transport = ChainTransport(profiles, tariff, cfg)
+    networked = run_decentralized(profiles, tariff, cfg, transport=transport)
+    assert networked.converged and networked.iterations > 2
+    agents = make_agents(profiles, tariff, cfg.rho,
+                         resolve_trade_cap(cfg.trade_cap, profiles))
+    contract = ContractState(sorted(agents), profiles[0].horizon, cfg.rho,
+                             {})
+    for rec in networked.trace:
+        prev_mult = contract.mult
+        for u, agent in agents.items():
+            contract.set_trading(u, agent.solve_round(contract.read_dual(u)))
+        contract.compute_dual()
+        rep = convergence(contract.dual(), prev_mult, contract.trades,
+                          cfg.eps1, cfg.eps2)
+        assert (rec.primal_gap, rec.dual_gap) == (rep.primal_gap,
+                                                  rep.dual_gap)
+        assert rec.costs == {u: a.cost for u, a in agents.items()}
+    committed = transport.chain.state()
+    assert contract.round == committed.round == networked.iterations
+    for name in ("trades", "aux", "mult"):
+        assert (getattr(contract, name).tobytes()
+                == getattr(committed, name).tobytes())
+    # one block per round
+    assert transport.chain.height == networked.iterations
 
 
 def test_finalize_records_services_then_settles(tmp_path):
