@@ -28,14 +28,12 @@ import json
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
-# dual_update and lambda_update are re-exported: perfbench's tracer test
-# reaches the contract's update rule through this module
-from .coordinator import (DualState, dual_update, lambda_update,  # noqa: F401
-                          step)
 from .agent import DualSlice
+from .coordinator import dual_update, lambda_update
 from .model import Schedule, Tariff
 
 TX_SERVICE = "service"
@@ -237,11 +235,15 @@ class Block:
 # ---------------------------------------------------------------------------
 
 class ContractState:
-    """Coordination contract storage plus token accounts.
+    """Coordination contract storage plus token accounts: the trading
+    loop's one coordination state.
 
     The three contract functions are set_trading, compute_dual and
-    read_dual.  compute_dual applies the coordination module's pure
-    `step`; it is the one place a trading round's dual update runs.
+    read_dual.  compute_dual applies the coordination module's
+    `dual_update` and `lambda_update`; it is the one place a trading
+    round's dual update runs.  In a state the chain has committed, the
+    arrays, balances, services and submitted users are read-only (see
+    `_committed`); `copy` gives a writable state.
     """
 
     def __init__(self, users, horizon: int, rho: float, balances: dict):
@@ -279,19 +281,21 @@ class ContractState:
             raise ContractError(
                 f"round {self.round} incomplete, missing trades from "
                 f"{', '.join(missing)}")
-        nxt = step(self.dual(), self.trades)
-        self.aux, self.mult, self.round = nxt.aux, nxt.mult, nxt.iteration
+        aux = dual_update(self.trades, self.mult, self.rho)
+        self.mult = lambda_update(self.mult, aux, self.trades, self.rho)
+        self.aux = aux
+        self.round += 1
         self.submitted = set()
 
     def read_dual(self, user: str) -> DualSlice:
+        """The (user, .) rows only; this is all a household may see."""
         if user not in self.users:
             raise ContractError(f"unknown user {user!r}")
-        return self.dual().slice_for(user)
-
-    def dual(self) -> DualState:
-        """The coordination state, sharing this storage's arrays."""
-        return DualState(users=tuple(self.users), aux=self.aux,
-                         mult=self.mult, rho=self.rho, iteration=self.round)
+        i = self.users.index(user)
+        aux, mult = self.aux[i].copy(), self.mult[i].copy()
+        peers = [(j, v) for j, v in enumerate(self.users) if j != i]
+        return DualSlice(aux={v: aux[j] for j, v in peers},
+                         mult={v: mult[j] for j, v in peers}, rho=self.rho)
 
     # -- serialization ----------------------------------------------------
 
@@ -311,7 +315,7 @@ class ContractState:
                         for k, v in s.items())
         header = canonical({
             "users": self.users, "horizon": self.horizon, "rho": self.rho,
-            "round": self.round, "balances": self.balances,
+            "round": self.round, "balances": dict(self.balances),
             "submitted": sorted(self.submitted), "services": layout})
         h = hashlib.sha256(struct.pack(">I", len(header)) + header)
         off = ~np.eye(len(self.users), dtype=bool)
@@ -322,14 +326,28 @@ class ContractState:
         return h.hexdigest()
 
     def copy(self) -> "ContractState":
-        return copy.deepcopy(self)
+        """A writable deep copy, also of a read-only committed state."""
+        new = copy.copy(self)
+        new.users, new.balances, new.submitted = (
+            list(self.users), dict(self.balances), set(self.submitted))
+        new.trades, new.aux, new.mult = (
+            self.trades.copy(), self.aux.copy(), self.mult.copy())
+        new.services = {u: {k: v.copy() for k, v in s.items()}
+                        for u, s in self.services.items()}
+        return new
 
 
 def _committed(state: ContractState) -> ContractState:
-    """Mark the arrays that readers get by reference read-only, so a
+    """Make everything readers get by reference read-only (the arrays,
+    balances, services with their vectors, and submitted users), so a
     stray write into committed state raises instead of corrupting it."""
-    for arr in (state.trades, state.aux, state.mult):
+    vectors = [v for s in state.services.values() for v in s.values()]
+    for arr in (state.trades, state.aux, state.mult, *vectors):
         arr.flags.writeable = False
+    state.balances = MappingProxyType(state.balances)
+    state.services = MappingProxyType(
+        {u: MappingProxyType(s) for u, s in state.services.items()})
+    state.submitted = frozenset(state.submitted)
     return state
 
 
@@ -337,7 +355,7 @@ def apply_tx(state: ContractState, tx: Transaction):
     """Apply one committed transaction to contract storage.
 
     A trading transaction that completes the round triggers the dual
-    update in place, so the coordination step is itself an effect of
+    update in place, so the update is itself an effect of
     ordered transactions and replays identically.
     """
     if tx.kind == TX_SERVICE:
@@ -416,10 +434,11 @@ class Chain:
         return [_plain(self._genesis), *(b.to_record() for b in self.blocks)]
 
     def state(self) -> ContractState:
-        """The committed contract storage itself, not a copy.  It is
-        never written (a block applies its transactions to a copy and
-        swaps that in), so it keeps its root after later blocks; its
-        trades, aux and mult are read-only.  Take `.copy()` to edit."""
+        """The committed contract storage itself, not a copy: the state
+        the trading loop reads.  It is never written (a block applies its
+        transactions to a copy and swaps that in), so it keeps its root
+        after later blocks; its arrays, balances, services and submitted
+        users are read-only.  Take `.copy()` to edit."""
         return self._state
 
     def contract_call(self, fn: str, **kwargs):

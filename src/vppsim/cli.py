@@ -19,7 +19,7 @@ from .experiment import (ExperimentError, run_co, run_compare, run_sa,
 from .model import InvalidInput
 from .scenario_io import (ScenarioError, gen_synthetic, load_scenario,
                           scenario_conf_text, write_results, write_scenario)
-from .simnet import SimError
+from .simnet import SimError, write_events
 
 
 def _add_run_flags(p):
@@ -92,7 +92,7 @@ def _load(args):
 def _write_chain_artifacts(out: Path, co):
     for day, transport in enumerate(co.transports):
         transport.chain.save_log(out / f"chain_day{day}.log")
-        transport.save_events(out / f"events_day{day}.log")
+        write_events(transport.events, out / f"events_day{day}.log")
 
 
 def cmd_run_sa(args) -> int:

@@ -1,13 +1,13 @@
 """Coordination of the trading loop.
 
-Holds the dual state over all ordered household pairs, the closed-form
-auxiliary and multiplier updates combined into one pure `step`, the
-convergence test, and the driver that alternates trade exchanges with
-convergence checks until the trade vectors agree.  There is one round
-path: each exchange runs a round through the ledger's contract
-(simnet.ChainTransport), whose `compute_dual` is the only caller of
-`step`, and `run_decentralized` reads every state, the genesis one
-included, from the chain's committed storage; it builds and writes none.
+Holds the closed-form auxiliary and multiplier updates, the convergence
+test, and the driver that alternates trade exchanges with convergence
+checks until the trade vectors agree.  The coordination state is the
+ledger contract's committed storage (chain.ContractState): each exchange
+runs a round through the contract (simnet.ChainTransport), whose
+`compute_dual` is the only caller of the two updates, and
+`run_decentralized` reads every state, the genesis one included, from
+the chain; it builds and writes none.
 
 Trades, auxiliary trades and multipliers are (N, N, H) float64 arrays
 over the sorted user ids: [i, j] holds the slot vector of the ordered
@@ -32,34 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import DualSlice, resolve_trade_cap
-from .model import CO, InvalidInput, Schedule, Tariff, check_feasibility
+from .model import CO, InvalidInput, Schedule, check_feasibility
 
 
-@dataclass
-class DualState:
-    """Coordination state: (N, N, H) aux and mult over sorted `users`."""
-
-    users: tuple[str, ...]
-    aux: np.ndarray
-    mult: np.ndarray
-    rho: float
-    iteration: int = 0
-
-    def slice_for(self, u: str) -> DualSlice:
-        """The (u, .) rows only; this is all a household may see."""
-        i = self.users.index(u)
-        aux, mult = self.aux[i].copy(), self.mult[i].copy()
-        peers = [(j, v) for j, v in enumerate(self.users) if j != i]
-        return DualSlice(aux={v: aux[j] for j, v in peers},
-                         mult={v: mult[j] for j, v in peers}, rho=self.rho)
-
-
-def dual_update(trades, state: DualState) -> np.ndarray:
+def dual_update(trades, mult, rho: float) -> np.ndarray:
     """Closed-form auxiliary update; exactly antisymmetric by construction."""
-    p = trades
-    rho, m = state.rho, state.mult
-    i, j = np.triu_indices(len(state.users), 1)
+    p, m = trades, mult
+    i, j = np.triu_indices(len(m), 1)
     upper = (rho * (p[i, j] - p[j, i]) - (m[i, j] - m[j, i])) / (2.0 * rho)
     aux = np.zeros_like(m)
     aux[i, j] = upper
@@ -67,17 +46,9 @@ def dual_update(trades, state: DualState) -> np.ndarray:
     return aux
 
 
-def lambda_update(state: DualState, aux, trades) -> np.ndarray:
-    """Multiplier ascent step on the trade disagreement."""
-    return state.mult + state.rho * (aux - trades)
-
-
-def step(state: DualState, trades) -> DualState:
-    """One coordination update: auxiliary trades, then multipliers."""
-    aux = dual_update(trades, state)
-    mult = lambda_update(state, aux, trades)
-    return DualState(users=state.users, aux=aux, mult=mult, rho=state.rho,
-                     iteration=state.iteration + 1)
+def lambda_update(mult, aux, trades, rho: float) -> np.ndarray:
+    """Multiplier ascent on the trade disagreement."""
+    return mult + rho * (aux - trades)
 
 
 @dataclass
@@ -87,17 +58,18 @@ class ConvergenceReport:
     converged: bool
 
 
-def convergence(state: DualState, prev_mult, trades,
-                eps1: float, eps2: float) -> ConvergenceReport:
-    """Trade agreement and multiplier movement.
+def convergence(state, prev_mult, eps1: float, eps2: float
+                ) -> ConvergenceReport:
+    """Trade agreement and multiplier movement of a committed state.
 
     primal_gap sums the Euclidean norm of aux - trades over every ordered
-    pair; dual_gap is the Euclidean norm of the multiplier change stacked
-    over all pairs and slots.  Converged requires both below tolerance.
-    Both sums run over (u, v) then (v, u) for each u < v, a fixed order
-    that keeps the gaps identical to the last bit from run to run.
+    pair; dual_gap is the Euclidean norm of the multiplier change from
+    prev_mult, stacked over all pairs and slots.  Converged requires both
+    below tolerance.  Both sums run over (u, v) then (v, u) for each
+    u < v, a fixed order that keeps the gaps identical to the last bit
+    from run to run.
     """
-    gap = state.aux - trades
+    gap = state.aux - state.trades
     moved = state.mult - prev_mult
     primal = 0.0
     dual_sq = 0.0
@@ -151,46 +123,47 @@ class RunResult:
     feasible: bool
 
 
-def run_decentralized(profiles, tariff: Tariff, cfg: AlgoConfig,
-                      transport) -> RunResult:
+def run_decentralized(transport) -> RunResult:
     """Alternate trade exchanges with convergence checks.
 
     Starts from the transport chain's genesis state, zero multipliers and
     zero auxiliary trades; each exchange runs one round on the chain and
-    returns its trades and the next committed dual state.  Stops when the
-    convergence test passes or cfg.max_iter is exhausted (the result is
-    then flagged converged=False and carries the last iterate).  Either
-    way every household then re-solves its last round at the tight
-    tolerance, and the schedules, costs and feasibility come from those
-    solves.
+    returns the contract state that round's block committed.  Stops when
+    the convergence test passes or cfg.max_iter of the transport's cfg is
+    exhausted (the result is then flagged converged=False and carries the
+    last iterate).  Either way every household then re-solves its last
+    round at the tight tolerance, and the schedules, costs and
+    feasibility come from those solves.
     """
-    state = transport.chain.state().dual()
+    cfg, agents = transport.cfg, transport.agents
+    state = transport.chain.state()
     trace: list[TraceRecord] = []
     converged = False
     for _ in range(cfg.max_iter):
         prev_mult = state.mult
-        trades, state = transport.exchange()
-        rep = convergence(state, prev_mult, trades, cfg.eps1, cfg.eps2)
-        inner = transport.inner_iterations()
-        trace.append(TraceRecord(iteration=state.iteration,
+        state = transport.exchange()
+        rep = convergence(state, prev_mult, cfg.eps1, cfg.eps2)
+        inner = [a.iterations for a in agents.values()]
+        trace.append(TraceRecord(iteration=state.round,
                                  primal_gap=rep.primal_gap,
                                  dual_gap=rep.dual_gap,
-                                 costs=transport.costs(),
+                                 costs={u: a.cost for u, a in agents.items()},
                                  inner_iters_sum=sum(inner),
                                  inner_iters_max=max(inner)))
         if rep.converged:
             converged = True
             break
 
-    transport.finish()
+    for a in agents.values():
+        a.finish()
+    trades = state.trades
     residual = float(np.max(np.abs(trades + trades.transpose(1, 0, 2))))
-    schedules = transport.schedules()
-    cap = resolve_trade_cap(cfg.trade_cap, profiles)
     feasible = all(
-        check_feasibility(schedules[p.user_id], p, tariff, CO,
-                          trade_cap=cap).ok
-        for p in profiles)
-    return RunResult(schedules=schedules, costs=transport.costs(),
-                     trace=trace, iterations=state.iteration,
+        check_feasibility(a.schedule, a.profile, a.tariff, CO,
+                          trade_cap=transport.trade_cap).ok
+        for a in agents.values())
+    return RunResult(schedules={u: a.schedule for u, a in agents.items()},
+                     costs={u: a.cost for u, a in agents.items()},
+                     trace=trace, iterations=state.round,
                      converged=converged, trade_residual=residual,
                      feasible=feasible)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .agent import build_centralized, build_sa_problem, decode, decode_all
-from .coordinator import AlgoConfig, run_decentralized
+from .coordinator import run_decentralized
 from .model import (CO, SA, Schedule, Tariff, UserProfile,
                     battery_trajectory, check_feasibility, cost_breakdown)
 from .qp import OPTIMAL, QpSolver
@@ -150,8 +150,7 @@ def run_co(scenario: Scenario, settle: bool = True) -> CoRun:
                     for u in users]
         net = replace(scenario.net, seed=scenario.net.seed + day)
         transport = ChainTransport(profiles, tariff, scenario.algo, net=net)
-        res = run_decentralized(profiles, tariff=tariff, cfg=scenario.algo,
-                                transport=transport)
+        res = run_decentralized(transport)
         transports.append(transport)
         iterations.append(res.iterations)
         traces.append(res.trace)

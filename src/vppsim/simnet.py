@@ -7,7 +7,8 @@ every link), each agent solves its local problem and sends a trading
 transaction back, the scheduled authority seals a block once the last
 transaction arrives, and the block application runs the contract's dual
 update.  The coordination state lives only in the chain's committed
-storage, which is never written, so rounds read it by reference.
+storage, which is never written, so rounds read it by reference, and
+the transport hands the trading loop that state itself.
 Every tick of a round is drawn before any agent solves, so a round that
 would time out leaves the chain as it found it.  A fixed seed fixes
 every latency draw, so at a fixed BLAS thread count (see qp.py) the
@@ -23,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # digest stays bound here: perfbench's tracer test wraps it in this module
-from .chain import OPERATOR, Chain, digest, service_tx, trading_tx  # noqa
+from .chain import (OPERATOR, Chain, ContractState, digest,  # noqa
+                    service_tx, trading_tx)
 from .agent import AgentRuntime, resolve_trade_cap
-from .coordinator import AlgoConfig, DualState
+from .coordinator import AlgoConfig
 from .model import InvalidInput, Tariff
 
 
@@ -150,10 +152,11 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
 class ChainTransport:
     """Message channel for the trading loop, routed through the chain.
 
-    Owns the household agents and the chain.  Each exchange runs one
-    simulated network round, and both the trades and the next dual state
-    are read from the contract state committed with that round's block,
-    so the chain is the only place the coordination update runs.
+    Owns the household agents, the chain, the loop's cfg and the
+    resolved per-pair trade cap.  Each exchange runs one simulated
+    network round and returns the contract state committed with that
+    round's block, so the chain is the only place the coordination
+    update runs and the only place its state lives.
     """
 
     def __init__(self, profiles, tariff: Tariff, cfg: AlgoConfig,
@@ -163,11 +166,12 @@ class ChainTransport:
             raise InvalidInput(
                 "decentralized run needs at least two households")
         ids = [p.user_id for p in profiles]
-        cap = resolve_trade_cap(cfg.trade_cap, profiles)
+        self.cfg = cfg
+        self.trade_cap = resolve_trade_cap(cfg.trade_cap, profiles)
         self.agents = {
             p.user_id: AgentRuntime(
                 p, tariff, [v for v in ids if v != p.user_id],
-                cfg.rho, cap)
+                cfg.rho, self.trade_cap)
             for p in profiles}
         self.chain = Chain(ids, [f"auth{i}" for i in range(5)],
                            profiles[0].horizon, rho=cfg.rho)
@@ -176,28 +180,13 @@ class ChainTransport:
         self.events: list[EventRecord] = []
         self.tick = 0
 
-    def exchange(self) -> tuple[np.ndarray, DualState]:
-        """Run the committed round; returns its trades and the next state."""
+    def exchange(self) -> ContractState:
+        """Run the committed round; returns the state its block committed."""
         outcome = run_round(self.chain.state().round, self.agents,
                             self.chain, self.net, self.rng,
                             start_tick=self.tick, events=self.events)
         self.tick = outcome.end_tick + 1
-        committed = self.chain.state()
-        return committed.trades, committed.dual()
-
-    def finish(self):
-        """Re-solve every household's last round at the tight tolerance."""
-        for a in self.agents.values():
-            a.finish()
-
-    def inner_iterations(self) -> list[int]:
-        return [a.iterations for a in self.agents.values()]
-
-    def schedules(self):
-        return {u: a.schedule for u, a in self.agents.items()}
-
-    def costs(self):
-        return {u: a.cost for u, a in self.agents.items()}
+        return self.chain.state()
 
     # -- post-convergence -------------------------------------------------
 
@@ -221,6 +210,3 @@ class ChainTransport:
         self.events.append(EventRecord(last + 1, "settle", OPERATOR, ref))
         self.tick = last + 2
         return transfers
-
-    def save_events(self, path):
-        write_events(self.events, path)

@@ -14,7 +14,7 @@ import pytest
 from qp_oracle import brute_force_qp, random_bounded_qp
 
 from vppsim.chain import ContractState, replay
-from vppsim.coordinator import DualState, dual_update, lambda_update
+from vppsim.coordinator import dual_update, lambda_update
 from vppsim.experiment import (centralized_day, day_profile, day_tariff,
                                run_compare, run_co, run_sa)
 from vppsim.model import (CO, InvalidInput, Schedule, check_feasibility,
@@ -115,14 +115,13 @@ def test_criterion_4_trades_agree_across_every_pair(survey, big_run):
     # antisymmetry of the auxiliary update, exact, on random inputs
     rng = np.random.default_rng(0)
     exact = True
-    state = DualState(users=("u", "v", "w"), aux=np.zeros((3, 3, 6)),
-                      mult=np.zeros((3, 3, 6)), rho=1.0)
+    mult = np.zeros((3, 3, 6))
     off = ~np.eye(3, dtype=bool)
     for _ in range(500):
-        state.mult[off] = rng.normal(size=(6, 6))
-        trades = np.zeros_like(state.aux)
+        mult[off] = rng.normal(size=(6, 6))
+        trades = np.zeros_like(mult)
         trades[off] = rng.normal(size=(6, 6))
-        aux = dual_update(trades, state)
+        aux = dual_update(trades, mult, 1.0)
         if not np.all(aux + aux.transpose(1, 0, 2) == 0.0):
             exact = False
     # and on the contract state the big run actually committed
@@ -195,22 +194,19 @@ def test_criterion_7_the_ledger_replays_deterministically(tmp_path,
     shape = (len(users), len(users), H)
     off = ~np.eye(len(users), dtype=bool)
     contract = ContractState(users, H, rho, {})
-    mirror = DualState(users=tuple(users), aux=np.zeros(shape),
-                       mult=np.zeros(shape), rho=rho)
+    mult = np.zeros(shape)
     bitwise = True
-    for k in range(1000):
+    for _ in range(1000):
         trades = np.zeros(shape)
         trades[off] = rng.normal(size=(off.sum(), H))
         for i, u in enumerate(users):
             contract.set_trading(u, {v: trades[i, j]
                                      for j, v in enumerate(users) if j != i})
         contract.compute_dual()
-        aux = dual_update(trades, mirror)
-        mult = lambda_update(mirror, aux, trades)
-        mirror = DualState(users=mirror.users, aux=aux, mult=mult, rho=rho,
-                           iteration=k + 1)
-        bitwise &= contract.aux.tobytes() == mirror.aux.tobytes()
-        bitwise &= contract.mult.tobytes() == mirror.mult.tobytes()
+        aux = dual_update(trades, mult, rho)
+        mult = lambda_update(mult, aux, trades, rho)
+        bitwise &= contract.aux.tobytes() == aux.tobytes()
+        bitwise &= contract.mult.tobytes() == mult.tobytes()
     ok = byte_exact and bitwise and contract.round == 1000
     _emit(7, ok,
           f"replayed {blocks} blocks byte-exactly: {byte_exact}; "

@@ -17,7 +17,7 @@ from vppsim.chain import (Block, Chain, ChainError, ContractError,
                           canonical, digest, dump_text, load_log, replay,
                           service_tx, trading_tx, transfer_tx)
 from vppsim.cli import main
-from vppsim.coordinator import DualState, dual_update, lambda_update
+from vppsim.coordinator import dual_update, lambda_update
 from vppsim.model import Schedule
 
 
@@ -398,21 +398,18 @@ def test_contract_matches_coordinator_bit_for_bit():
     shape = (len(users), len(users), H)
     off = ~np.eye(len(users), dtype=bool)
     contract = ContractState(users, H, rho, {})
-    mirror = DualState(users=tuple(users), aux=np.zeros(shape),
-                       mult=np.zeros(shape), rho=rho)
-    for k in range(50):
+    mult = np.zeros(shape)
+    for _ in range(50):
         trades = np.zeros(shape)
         trades[off] = rng.normal(size=(off.sum(), H))
         for i, u in enumerate(users):
             contract.set_trading(u, {v: trades[i, j]
                                      for j, v in enumerate(users) if j != i})
         contract.compute_dual()
-        aux = dual_update(trades, mirror)
-        mult = lambda_update(mirror, aux, trades)
-        mirror = DualState(users=mirror.users, aux=aux, mult=mult, rho=rho,
-                           iteration=k + 1)
-        assert contract.aux.tobytes() == mirror.aux.tobytes()
-        assert contract.mult.tobytes() == mirror.mult.tobytes()
+        aux = dual_update(trades, mult, rho)
+        mult = lambda_update(mult, aux, trades, rho)
+        assert contract.aux.tobytes() == aux.tobytes()
+        assert contract.mult.tobytes() == mult.tobytes()
     assert contract.round == 50
 
 
@@ -471,6 +468,39 @@ def test_committed_state_is_read_only_and_keeps_its_root():
     edit = chain.state().copy()
     edit.aux[0, 1, 0] = 1.0
     assert chain.state().root() == chain.blocks[-1].state_root != edit.root()
+
+
+def test_committed_accounts_services_and_submissions_are_read_only():
+    chain = small_chain()
+    chain.submit_tx(service_tx("u", 0, [1.0, 0.0], [0.0, 0.0], [0.0, 2.0]))
+    chain.submit_tx(trading_tx("v", 0, {"u": [0.1, 0.0]}))
+    chain.produce_block()
+    state = chain.state()
+    root = chain.blocks[-1].state_root
+    with pytest.raises(TypeError):
+        state.balances["u"] = 0.0
+    with pytest.raises(TypeError):
+        state.services["v"] = {}
+    with pytest.raises(TypeError):
+        state.services["u"]["e_fit"] = np.zeros(2)
+    with pytest.raises(ValueError):
+        state.services["u"]["e_fit"][0] = 9.0
+    with pytest.raises(AttributeError):
+        state.submitted.add("u")
+    assert state.root() == root
+    # u's balance is intact, so the next block takes its 1-token transfer
+    chain.submit_tx(transfer_tx("u", 1, "v", 1.0))
+    chain.produce_block()
+    assert chain.state().balances["u"] == 99.0
+    # a copy is writable all through and leaves the committed state alone
+    edit = state.copy()
+    edit.balances["u"] = 0.0
+    edit.services["u"]["e_fit"][0] = 9.0
+    edit.services["v"] = {}
+    edit.submitted.add("u")
+    assert state.root() == root != edit.root()
+    assert state.balances["u"] == 100.0 and state.submitted == {"v"}
+    assert state.services["u"]["e_fit"][0] == 1.0
 
 
 def _rich_state():

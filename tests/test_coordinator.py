@@ -10,9 +10,8 @@ from vppsim import qp
 from vppsim.agent import AgentSolveError
 from vppsim.chain import (Chain, ChainError, ContractError, ContractState,
                           TxRejected, trading_tx)
-from vppsim.coordinator import (AlgoConfig, DualState, convergence,
-                                dual_update, lambda_update,
-                                run_decentralized)
+from vppsim.coordinator import (AlgoConfig, convergence, dual_update,
+                                lambda_update, run_decentralized)
 from vppsim.model import InvalidInput
 from vppsim.simnet import ChainTransport
 
@@ -22,8 +21,7 @@ RAIP = (1, 0)
 
 
 def pair_state(rho=1.0, mult_uv=0.0, mult_vu=0.0, H=1):
-    s = DualState(users=("u", "v"), aux=np.zeros((2, 2, H)),
-                  mult=np.zeros((2, 2, H)), rho=rho)
+    s = ContractState(["u", "v"], H, rho, {})
     s.mult[PAIR] = mult_uv
     s.mult[RAIP] = mult_vu
     return s
@@ -40,11 +38,11 @@ def pair_array(uv, vu):
 
 def test_genesis_dual_is_zero_over_sorted_users():
     # the state every run starts from is the chain's committed genesis
-    s = Chain(["b", "a"], ["a0"], 3, rho=2.0).state().dual()
-    assert s.iteration == 0 and s.rho == 2.0
-    assert s.users == ("a", "b")
-    assert s.aux.shape == s.mult.shape == (2, 2, 3)
-    assert np.all(s.aux == 0.0) and np.all(s.mult == 0.0)
+    s = Chain(["b", "a"], ["a0"], 3, rho=2.0).state()
+    assert s.round == 0 and s.rho == 2.0
+    assert s.users == ["a", "b"]
+    assert s.trades.shape == s.aux.shape == s.mult.shape == (2, 2, 3)
+    assert not (s.trades.any() or s.aux.any() or s.mult.any())
     with pytest.raises(ChainError):
         Chain(["a", "a"], ["a0"], 3)
     with pytest.raises(ChainError):
@@ -54,9 +52,9 @@ def test_genesis_dual_is_zero_over_sorted_users():
 def test_zero_trades_keep_zero_state():
     s = pair_state()
     trades = pair_array(0.0, 0.0)
-    aux = dual_update(trades, s)
+    aux = dual_update(trades, s.mult, s.rho)
     assert np.all(aux[PAIR] == 0.0) and np.all(aux[RAIP] == 0.0)
-    mult = lambda_update(s, aux, trades)
+    mult = lambda_update(s.mult, aux, trades, s.rho)
     assert np.all(mult[PAIR] == 0.0) and np.all(mult[RAIP] == 0.0)
 
 
@@ -65,10 +63,10 @@ def test_consistent_trades_are_a_fixed_point():
     # reproduces bitwise rather than merely to rounding error
     s = pair_state(rho=2.0)
     trades = pair_array(0.8, -0.8)
-    aux = dual_update(trades, s)
+    aux = dual_update(trades, s.mult, s.rho)
     np.testing.assert_array_equal(aux[PAIR], trades[PAIR])
     np.testing.assert_array_equal(aux[RAIP], trades[RAIP])
-    mult = lambda_update(s, aux, trades)
+    mult = lambda_update(s.mult, aux, trades, s.rho)
     np.testing.assert_array_equal(mult[PAIR], s.mult[PAIR])
 
 
@@ -77,7 +75,7 @@ def test_auxiliary_update_hand_numbers():
     # (2*(0.5-0.1) - (0.2+0.4)) / 4 = 0.05
     s = pair_state(rho=2.0, mult_uv=0.2, mult_vu=-0.4)
     trades = pair_array(0.5, 0.1)
-    aux = dual_update(trades, s)
+    aux = dual_update(trades, s.mult, s.rho)
     assert aux[PAIR][0] == pytest.approx(0.05, abs=1e-12)
     assert aux[RAIP][0] == pytest.approx(-0.05, abs=1e-12)
 
@@ -87,15 +85,14 @@ def test_multiplier_update_hand_numbers():
     s = pair_state(rho=1.0)
     trades = pair_array(0.5, -0.5)
     aux = pair_array(0.05, -0.05)
-    mult = lambda_update(s, aux, trades)
+    mult = lambda_update(s.mult, aux, trades, s.rho)
     assert mult[PAIR][0] == pytest.approx(-0.45, abs=1e-12)
 
 
 def test_gap_counts_every_ordered_pair():
     s = pair_state()
     s.aux = pair_array(0.001, -0.001)
-    trades = pair_array(0.0, 0.0)
-    rep = convergence(s, s.mult.copy(), trades, 1e-6, 1e-6)
+    rep = convergence(s, s.mult.copy(), 1e-6, 1e-6)
     assert rep.primal_gap == pytest.approx(0.002, abs=1e-15)
     assert rep.dual_gap == 0.0
     assert not rep.converged
@@ -103,8 +100,7 @@ def test_gap_counts_every_ordered_pair():
 
 def test_exact_agreement_converges():
     s = pair_state()
-    trades = pair_array(0.0, 0.0)
-    rep = convergence(s, s.mult.copy(), trades, 1e-6, 1e-6)
+    rep = convergence(s, s.mult.copy(), 1e-6, 1e-6)
     assert rep.primal_gap == 0.0 and rep.dual_gap == 0.0
     assert rep.converged
 
@@ -130,7 +126,7 @@ def test_auxiliary_antisymmetry_is_exact(a, b, rho):
     H = min(len(a), len(b))
     s = pair_state(rho=rho, H=H)
     trades = pair_array(a[:H], b[:H])
-    aux = dual_update(trades, s)
+    aux = dual_update(trades, s.mult, s.rho)
     assert np.all(aux[PAIR] + aux[RAIP] == 0.0)
 
 
@@ -141,19 +137,18 @@ def test_stationary_multipliers_force_consistency(x, y):
     # antisymmetric aux can equal the trades only if they net out.
     s = pair_state()
     trades = pair_array(x, y)
-    aux = dual_update(trades, s)
-    mult = lambda_update(s, aux, trades)
+    aux = dual_update(trades, s.mult, s.rho)
+    mult = lambda_update(s.mult, aux, trades, s.rho)
     stationary = (np.all(mult[PAIR] == s.mult[PAIR])
                   and np.all(mult[RAIP] == s.mult[RAIP]))
     assert stationary == (x + y == 0.0)
 
 
 def test_slice_shows_one_households_rows_only():
-    s = DualState(users=("a", "b", "c"), aux=np.zeros((3, 3, 2)),
-                  mult=np.zeros((3, 3, 2)), rho=1.0)
+    s = ContractState(["a", "b", "c"], 2, 1.0, {})
     s.mult[0, 1] = [1.0, 2.0]
     s.mult[1, 0] = [9.0, 9.0]
-    sl = s.slice_for("a")
+    sl = s.read_dual("a")
     assert set(sl.aux) == {"b", "c"}
     np.testing.assert_array_equal(sl.mult["b"], [1.0, 2.0])
     sl.mult["b"][0] = -5.0
@@ -163,7 +158,7 @@ def test_slice_shows_one_households_rows_only():
 def run_loop(profiles, tariff, cfg=None):
     cfg = cfg or AlgoConfig()
     transport = ChainTransport(profiles, tariff, cfg)
-    return run_decentralized(profiles, tariff, cfg, transport), transport
+    return run_decentralized(transport), transport
 
 
 def test_households_with_nothing_to_gain_stop_at_once():

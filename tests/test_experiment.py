@@ -126,9 +126,10 @@ PINNED_DAY = """
 import sys
 from vppsim.experiment import run_co
 from vppsim.scenario_io import gen_synthetic
+from vppsim.simnet import write_events
 run = run_co(gen_synthetic(seed=1, users=2, slots=8, complementary=True))
 transport = run.transports[0]
-transport.save_events(sys.argv[1])
+write_events(transport.events, sys.argv[1])
 print(transport.chain.tip(), run.iterations[0])
 """
 

@@ -185,6 +185,16 @@ def test_arrival_exactly_at_the_deadline_still_counts():
     assert chain.state().round == 1
 
 
+def test_exchange_returns_the_committed_state_itself():
+    # the loop's state is the chain's committed storage, not a copy of it
+    transport = ChainTransport(surplus_pair(2), toy_tariff(2, pi_fit=0.1),
+                               AlgoConfig())
+    for rounds in (1, 2, 3):
+        state = transport.exchange()
+        assert state is transport.chain.state()
+        assert state.round == rounds == transport.chain.height
+
+
 def test_same_seed_reproduces_the_event_log_exactly():
     logs = []
     for _ in range(2):
@@ -193,7 +203,7 @@ def test_same_seed_reproduces_the_event_log_exactly():
         cfg = AlgoConfig()
         transport = ChainTransport(profiles, tariff, cfg,
                                    net=NetConfig(seed=42))
-        res = run_decentralized(profiles, tariff, cfg, transport=transport)
+        res = run_decentralized(transport)
         assert res.converged
         logs.append(list(transport.events))
     assert logs[0] == logs[1]
@@ -206,7 +216,7 @@ def test_networked_run_matches_the_in_process_run():
     sc = gen_synthetic(seed=1, users=3, slots=8, complementary=True)
     profiles, tariff, cfg = sc.users, sc.tariff, sc.algo
     transport = ChainTransport(profiles, tariff, cfg)
-    networked = run_decentralized(profiles, tariff, cfg, transport=transport)
+    networked = run_decentralized(transport)
     assert networked.converged and networked.iterations > 2
     agents = make_agents(profiles, tariff, cfg.rho,
                          resolve_trade_cap(cfg.trade_cap, profiles))
@@ -217,8 +227,7 @@ def test_networked_run_matches_the_in_process_run():
         for u, agent in agents.items():
             contract.set_trading(u, agent.solve_round(contract.read_dual(u)))
         contract.compute_dual()
-        rep = convergence(contract.dual(), prev_mult, contract.trades,
-                          cfg.eps1, cfg.eps2)
+        rep = convergence(contract, prev_mult, cfg.eps1, cfg.eps2)
         assert (rec.primal_gap, rec.dual_gap) == (rep.primal_gap,
                                                   rep.dual_gap)
         assert rec.costs == {u: a.cost for u, a in agents.items()}
@@ -236,7 +245,7 @@ def test_finalize_records_services_then_settles(tmp_path):
     tariff = toy_tariff(2, pi_fit=0.1)
     cfg = AlgoConfig()
     transport = ChainTransport(profiles, tariff, cfg)
-    res = run_decentralized(profiles, tariff, cfg, transport=transport)
+    res = run_decentralized(transport)
     assert res.converged
     height = transport.chain.height
     transfers = transport.finalize(res.schedules, tariff)
@@ -249,7 +258,7 @@ def test_finalize_records_services_then_settles(tmp_path):
     kinds = {ev.kind for ev in transport.events}
     assert {"service", "settle"} <= kinds
     path = tmp_path / "events.log"
-    transport.save_events(path)
+    write_events(transport.events, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "# tick\tkind\tnode\tref"
     assert len(lines) == len(transport.events) + 1
