@@ -22,7 +22,6 @@ taken at face value, which is the appropriate level of fidelity for a
 desk-scale protocol study.
 """
 
-import copy
 import hashlib
 import json
 import struct
@@ -241,13 +240,14 @@ class ContractState:
     The three contract functions are set_trading, compute_dual and
     read_dual.  compute_dual applies the coordination module's
     `dual_update` and `lambda_update`; it is the one place a trading
-    round's dual update runs.  In a state the chain has committed, the
-    arrays, balances, services and submitted users are read-only (see
-    `_committed`); `copy` gives a writable state.
+    round's dual update runs.  `users` is a sorted tuple.  A state the
+    chain has committed rebinds no attribute, and its arrays, balances,
+    services and submitted users are read-only (see `_committed`);
+    `copy` gives a writable state.
     """
 
     def __init__(self, users, horizon: int, rho: float, balances: dict):
-        users = sorted(users)
+        users = tuple(sorted(users))
         if len(users) != len(set(users)):
             raise ChainError("duplicate user ids")
         self.users = users
@@ -327,9 +327,9 @@ class ContractState:
 
     def copy(self) -> "ContractState":
         """A writable deep copy, also of a read-only committed state."""
-        new = copy.copy(self)
-        new.users, new.balances, new.submitted = (
-            list(self.users), dict(self.balances), set(self.submitted))
+        new = object.__new__(ContractState)
+        vars(new).update(vars(self))
+        new.balances, new.submitted = dict(self.balances), set(self.submitted)
         new.trades, new.aux, new.mult = (
             self.trades.copy(), self.aux.copy(), self.mult.copy())
         new.services = {u: {k: v.copy() for k, v in s.items()}
@@ -337,10 +337,19 @@ class ContractState:
         return new
 
 
+class _CommittedState(ContractState):
+    """A state the chain has committed: no attribute can be rebound."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"committed contract state cannot rebind {name!r}")
+
+
 def _committed(state: ContractState) -> ContractState:
     """Make everything readers get by reference read-only (the arrays,
-    balances, services with their vectors, and submitted users), so a
-    stray write into committed state raises instead of corrupting it."""
+    balances, services with their vectors, and submitted users) and
+    refuse rebinding any attribute, so a stray write into committed
+    state raises instead of corrupting it."""
     vectors = [v for s in state.services.values() for v in s.values()]
     for arr in (state.trades, state.aux, state.mult, *vectors):
         arr.flags.writeable = False
@@ -348,6 +357,7 @@ def _committed(state: ContractState) -> ContractState:
     state.services = MappingProxyType(
         {u: MappingProxyType(s) for u, s in state.services.items()})
     state.submitted = frozenset(state.submitted)
+    state.__class__ = _CommittedState
     return state
 
 

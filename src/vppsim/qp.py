@@ -29,10 +29,17 @@ triangular solves read the factor twice.  K's condition number on the
 generated household and oracle problems is about 2.6e4, where an
 explicit inverse applies as accurately as a backward-stable solve in
 practice (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-section 14).  Step sizes are rebalanced every ADAPT_EVERY iterations
-from the primal/dual residual imbalance.  The iteration stops when both
-residuals meet a tolerance, TOL unless the caller passes another (the
-trading loop's round solves pass agent.LOOP_TOL).
+section 14).  The iteration runs in place: each solve allocates its work
+vectors once and writes every step into them (`out=` ufuncs, the CSR
+kernel into a zeroed buffer, `dsymv` over its output), in the operation
+order of the plain expressions, so the iterates are the same bits as an
+allocating loop's; at a household's size the allocations and dispatch
+cost about as much as the arithmetic.  Step sizes are rebalanced every
+ADAPT_EVERY iterations from the primal/dual residual imbalance, which
+may refactor, so every iteration reads the step and the inverse anew.
+The iteration stops when both residuals meet a tolerance, TOL unless
+the caller passes another (the trading loop's round solves pass
+agent.LOOP_TOL).
 Infeasibility and unboundedness are declared through the standard
 divergence certificates of the splitting iteration.  A final polish
 step solves the KKT system of the detected active set to push
@@ -183,13 +190,17 @@ def _matvec(A: sp.csr_array):
     It calls the C kernel that `A @ x` reaches, scipy's `csr_matvec`, on
     a zeroed output, with A's shape and arrays read once here: at the
     sizes of a household problem `A @ x` takes about twice as long as
-    the kernel alone.
+    the kernel alone.  Given `out`, the product zero-fills that buffer
+    and writes into it instead of allocating one.
     """
     rows, cols = A.shape
     indptr, indices, data = A.indptr, A.indices, A.data
 
-    def product(x):
-        out = np.zeros(rows)
+    def product(x, out=None):
+        if out is None:
+            out = np.zeros(rows)
+        else:
+            out.fill(0.0)
         csr_matvec(rows, cols, indptr, indices, data, x, out)
         return out
 
@@ -197,7 +208,7 @@ def _matvec(A: sp.csr_array):
 
 
 def _norm(v) -> float:
-    return float(np.max(np.abs(v), initial=0.0))
+    return float(np.abs(v).max(initial=0.0))
 
 
 def _objective(problem, x, q, cn) -> float:
@@ -317,6 +328,14 @@ class QpSolver:
             x = np.zeros(n)
             y = np.zeros(m)
             z = np.minimum(np.maximum(self._A(x), self.l), self.u)
+        # the iteration's work vectors: each step below writes into one of
+        # them, in the order of operations of the plain expression in its
+        # comment, so the iterates are the same bits; x, y and z swap with
+        # the buffers that held their previous values
+        x_prev, rhs, tn = np.empty(n), np.empty(n), np.empty(n)
+        y_prev, z_new, zr, tm = (np.empty(m) for _ in range(4))
+        xt = np.zeros(n)
+        l, u, keep = self.l, self.u, 1.0 - RELAX
 
         status = MAX_ITER
         it = 0
@@ -325,15 +344,36 @@ class QpSolver:
         r_prim = r_dual = np.inf
         rescue_ref = np.inf
         for it in range(1, ITER_LIMIT + 1):
-            x_prev = x
-            y_prev = y
-            rhs = SIGMA * x - q + self._AT(self.rho * z - y)
-            xt = dsymv(1.0, self.kinv, rhs, lower=1)
-            x = RELAX * xt + (1.0 - RELAX) * x
-            zr = RELAX * self._A(xt) + (1.0 - RELAX) * z
-            z_new = np.minimum(np.maximum(zr + y / self.rho, self.l), self.u)
-            y = y + self.rho * (zr - z_new)
-            z = z_new
+            # a residual check may have rebalanced the step and refactored
+            rho, kinv = self.rho, self.kinv
+            x, x_prev = x_prev, x
+            y, y_prev = y_prev, y
+            # rhs = SIGMA * x_prev - q + A' (rho * z - y_prev)
+            np.multiply(SIGMA, x_prev, out=rhs)
+            np.subtract(rhs, q, out=rhs)
+            np.multiply(rho, z, out=tm)
+            np.subtract(tm, y_prev, out=tm)
+            np.add(rhs, self._AT(tm, tn), out=rhs)
+            xt = dsymv(1.0, kinv, rhs, beta=0.0, y=xt, overwrite_y=1,
+                       lower=1)
+            # x = RELAX * xt + (1 - RELAX) * x_prev
+            np.multiply(RELAX, xt, out=x)
+            np.multiply(keep, x_prev, out=tn)
+            np.add(x, tn, out=x)
+            # zr = RELAX * A xt + (1 - RELAX) * z
+            np.multiply(RELAX, self._A(xt, zr), out=zr)
+            np.multiply(keep, z, out=tm)
+            np.add(zr, tm, out=zr)
+            # z_new = min(max(zr + y_prev / rho, l), u)
+            np.divide(y_prev, rho, out=tm)
+            np.add(zr, tm, out=z_new)
+            np.maximum(z_new, l, out=z_new)
+            np.minimum(z_new, u, out=z_new)
+            # y = y_prev + rho * (zr - z_new)
+            np.subtract(zr, z_new, out=tm)
+            np.multiply(rho, tm, out=tm)
+            np.add(y_prev, tm, out=y)
+            z, z_new = z_new, z
 
             if it % CHECK_EVERY == 0 or it == ITER_LIMIT:
                 r_prim, r_dual, eps_p, eps_d = self._residuals(x, y, z, q,

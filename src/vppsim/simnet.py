@@ -113,7 +113,7 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
     state = chain.state()
     if state.round != k:
         raise SimError(f"chain is at round {state.round}, expected {k}")
-    if sorted(agents) != state.users:
+    if tuple(sorted(agents)) != state.users:
         raise SimError("agent set does not match chain users")
     log = events if events is not None else []
     deadline = start_tick + cfg.timeout

@@ -503,6 +503,24 @@ def test_committed_accounts_services_and_submissions_are_read_only():
     assert state.services["u"]["e_fit"][0] == 1.0
 
 
+def test_committed_state_rebinds_nothing_and_keeps_its_users():
+    chain = small_chain()
+    state = chain.state()
+    root = chain.records[0]["state_root"]
+    for name, value in (("round", 3), ("users", ("u", "v", "w")),
+                        ("rho", 2.0), ("mult", np.ones((2, 2, 2)))):
+        with pytest.raises(AttributeError):
+            setattr(state, name, value)
+    with pytest.raises(AttributeError):
+        state.users.append("w")
+    assert state.users == ("u", "v") and state.root() == root
+    # a copy rebinds freely and leaves the committed state alone
+    edit = state.copy()
+    edit.round = 3
+    assert edit.copy().round == 3
+    assert state.round == 0 and state.root() == root != edit.root()
+
+
 def _rich_state():
     """A state with every field the root covers set to something nonzero,
     plus one +0.0 in aux and one -0.0 in a service vector."""

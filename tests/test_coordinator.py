@@ -40,7 +40,7 @@ def test_genesis_dual_is_zero_over_sorted_users():
     # the state every run starts from is the chain's committed genesis
     s = Chain(["b", "a"], ["a0"], 3, rho=2.0).state()
     assert s.round == 0 and s.rho == 2.0
-    assert s.users == ["a", "b"]
+    assert s.users == ("a", "b")
     assert s.trades.shape == s.aux.shape == s.mult.shape == (2, 2, 3)
     assert not (s.trades.any() or s.aux.any() or s.mult.any())
     with pytest.raises(ChainError):

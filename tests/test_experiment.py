@@ -133,21 +133,44 @@ write_events(transport.events, sys.argv[1])
 print(transport.chain.tip(), run.iterations[0])
 """
 
+# the benchmark's co3 day (perfbench's Co3 workload at network seed 1)
+CO3_DAY = """
+from dataclasses import replace
+from vppsim.experiment import run_co
+from vppsim.scenario_io import gen_synthetic
+sc = gen_synthetic(seed=1, users=3, complementary=True)
+run = run_co(replace(sc, net=replace(sc.net, seed=1)))
+print(run.transports[0].chain.tip(), run.iterations[0])
+"""
 
-def test_a_run_co_day_has_pinned_bytes(tmp_path):
-    # The tip repeats only at a fixed BLAS thread count (c8d2f121... at
-    # two threads), so the day runs in its own process on one thread.
+
+def _run_pinned(script, *args):
+    """The script's stdout, run in its own process on one BLAS thread.
+
+    A tip repeats only at a fixed BLAS thread count (the 2-household day
+    gives c8d2f121... at two threads).
+    """
     src = str(Path(vppsim.__file__).resolve().parent.parent)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(
                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout
+
+
+def test_a_run_co_day_has_pinned_bytes(tmp_path):
     events = tmp_path / "events_day0.log"
-    out = subprocess.run([sys.executable, "-c", PINNED_DAY, str(events)],
-                         env=env, capture_output=True, text=True,
-                         check=True)
-    tip, rounds = out.stdout.split()
+    tip, rounds = _run_pinned(PINNED_DAY, str(events)).split()
     assert tip == ("e3f3f701feaa8b5cfd30fd77f267fabd"
                    "e2d7dee8875a26beaf13f50e92102c11")
     assert int(rounds) == 11
     assert hashlib.sha256(events.read_bytes()).hexdigest() == (
         "cb700fda86f2dc79a18d6ceb5eb4de4e2b8dc3036334aacdef255bec6be50e4e")
+
+
+def test_the_co3_day_has_a_pinned_tip():
+    tip, rounds = _run_pinned(CO3_DAY).split()
+    assert tip == ("a5436f04363bb809f6f742e2c40fc69f"
+                   "b8fb3003aaac153916c106a9aff0b61a")
+    assert int(rounds) == 58

@@ -411,17 +411,23 @@ def _co3_agent_problem():
     return prob
 
 
-def _reference_admm(solver, q, tol, start):
+def _reference_admm(shadow, q, tol, start):
     """QpSolver.solve's iteration written with scipy's `@` and np.clip, for
-    a solve that stops optimal before a certificate fires or a step
-    rebalance refactors."""
-    P, M, MT, l, u = solver.problem.quad, solver.M, solver.MT, solver.l, \
-        solver.u
-    rho, norm = solver.rho, qp._norm
+    a solve that stops optimal before a certificate fires.
+
+    `shadow` is a second solver of the same problem: at each step
+    rebalance the reference calls its `_rebalance`, and every iteration
+    reads the step and the inverse back from it, so a solve that applies
+    a stale step or inverse after a refactor cannot match.
+    """
+    P, M, MT, l, u = shadow.problem.quad, shadow.M, shadow.MT, shadow.l, \
+        shadow.u
+    norm = qp._norm
     x, y, z = start
     for it in range(1, qp.ITER_LIMIT + 1):
+        rho, kinv = shadow.rho, shadow.kinv
         rhs = qp.SIGMA * x - q + MT @ (rho * z - y)
-        xt = qp.dsymv(1.0, solver.kinv, rhs, lower=1)
+        xt = qp.dsymv(1.0, kinv, rhs, lower=1)
         x = qp.RELAX * xt + (1.0 - qp.RELAX) * x
         zr = qp.RELAX * (M @ xt) + (1.0 - qp.RELAX) * z
         z_new = np.clip(zr + y / rho, l, u)
@@ -429,34 +435,64 @@ def _reference_admm(solver, q, tol, start):
         z = z_new
         if it % qp.CHECK_EVERY == 0:
             Ax, Px, Aty = M @ x, P @ x, MT @ y
-            if (norm(Ax - z) <= tol + tol * max(norm(Ax), norm(z))
-                    and norm(Px + q + Aty)
+            r_prim, r_dual = norm(Ax - z), norm(Px + q + Aty)
+            if (r_prim <= tol + tol * max(norm(Ax), norm(z))
+                    and r_dual
                     <= tol + tol * max(norm(Px), norm(Aty), norm(q))):
                 return x, y, it
+            if it % qp.ADAPT_EVERY == 0:
+                shadow._rebalance(x, y, z, q, r_prim, r_dual)
     raise AssertionError("reference iteration hit the budget")
 
 
-def test_agent_solves_match_a_reference_iteration_bit_for_bit():
-    prob = _co3_agent_problem()
+def _match_reference(prob, tol, lin):
+    """A cold solve of prob and then a warm one with linear term lin, each
+    bit for bit against the reference; returns the solver and the two
+    iteration counts."""
     solver = QpSolver(prob, QpSettings(polish=False))
-    rho = solver.rho.copy()
+    shadow = QpSolver(prob, QpSettings(polish=False))
     zero_x = np.zeros(prob.n)
     cold_start = (zero_x, np.zeros(solver.m),
                   np.clip(solver.M @ zero_x, solver.l, solver.u))
-    lin = prob.lin + 0.01 * np.random.default_rng(4).normal(size=prob.n)
+    counts = []
     for q, warm in ((prob.lin, False), (lin, True)):
         start = tuple(v.copy() for v in solver._last) if warm \
             else cold_start
-        x, y, iterations = _reference_admm(solver, q, LOOP_TOL, start)
-        sol = solver.solve(lin=q, warm=warm, tol=LOOP_TOL)
+        x, y, iterations = _reference_admm(shadow, q, tol, start)
+        sol = solver.solve(lin=q, warm=warm, tol=tol)
         assert sol.status == OPTIMAL
         assert sol.iterations == iterations
         assert sol.x.tobytes() == x.tobytes()
         assert sol.y.tobytes() == y.tobytes()
-        # the cold solve passes a step rebalance, which leaves the step
-        # that the reference holds fixed where it was
-        assert warm or iterations > qp.ADAPT_EVERY
-    assert solver.rho.tobytes() == rho.tobytes()
+        assert solver.rho.tobytes() == shadow.rho.tobytes()
+        assert solver.kinv.tobytes() == shadow.kinv.tobytes()
+        counts.append(iterations)
+    return solver, counts
+
+
+def test_agent_solves_match_a_reference_iteration_bit_for_bit():
+    prob = _co3_agent_problem()
+    lin = prob.lin + 0.01 * np.random.default_rng(4).normal(size=prob.n)
+    solver, (cold, _) = _match_reference(prob, LOOP_TOL, lin)
+    # the cold solve passes a step rebalance, which leaves the step where
+    # it was
+    assert cold > qp.ADAPT_EVERY
+    assert solver.rho.tobytes() == QpSolver(prob).rho.tobytes()
+
+
+def test_a_refactoring_solve_matches_the_reference_bit_for_bit():
+    # stand-alone household u01 rebalances its step and refactors twice in
+    # its cold solve, so every iteration after a refactor must use the new
+    # step and inverse
+    sc = gen_synthetic(seed=0, users=3, complementary=True)
+    slots = sc.horizon.slots
+    (u,) = (u for u in sc.users if u.user_id == "u01")
+    prob, _ = build_sa_problem(day_profile(u, 0, slots),
+                               day_tariff(sc.tariff, 0, slots))
+    lin = prob.lin + 0.01 * np.random.default_rng(4).normal(size=prob.n)
+    solver, _ = _match_reference(prob, qp.TOL, lin)
+    # a rebalance changes the step only together with a refactor
+    assert solver.rho.tobytes() != QpSolver(prob).rho.tobytes()
 
 
 # -- the polish's KKT solve with the pinned pairs eliminated -----------------
