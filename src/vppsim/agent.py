@@ -48,6 +48,18 @@ class DecodeError(ValueError):
     """Solution cannot be decoded (wrong status or layout mismatch)."""
 
 
+_F8 = np.dtype(np.float64)
+
+
+def _float_vectors(vectors: dict) -> dict:
+    """vectors with float arrays as values; a map that holds float64
+    arrays only, as the contract's `read_dual` gives, is kept as it is."""
+    if all(type(a) is np.ndarray and a.dtype == _F8
+           for a in vectors.values()):
+        return vectors
+    return {v: np.asarray(a, dtype=float) for v, a in vectors.items()}
+
+
 @dataclass
 class DualSlice:
     """The slice of coordination state one household may see.
@@ -63,8 +75,8 @@ class DualSlice:
     def __post_init__(self):
         if self.rho <= 0:
             raise InvalidInput(f"rho must be positive, got {self.rho}")
-        self.aux = {v: np.asarray(a, dtype=float) for v, a in self.aux.items()}
-        self.mult = {v: np.asarray(a, dtype=float) for v, a in self.mult.items()}
+        self.aux = _float_vectors(self.aux)
+        self.mult = _float_vectors(self.mult)
         if set(self.aux) != set(self.mult):
             raise InvalidInput("aux and mult must cover the same peers")
 

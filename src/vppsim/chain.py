@@ -12,10 +12,15 @@ carries the chain's own inputs, so replay re-runs the whole log through
 a `Chain` and accepts it only if every rebuilt record equals the logged
 one byte for byte; `dump_text` renders only a log that replays.
 
-Transaction ids and block digests come from `digest`, which hashes a
-binary encoding too: a canonical-JSON header with every float vector
-lifted out, then the vectors' float64 bytes, so no id prints a float.
-The log itself stays length-prefixed canonical JSON.
+A transaction's float vectors become read-only float64 arrays in one
+place, `Transaction.__post_init__`, whether they come from an agent's
+ndarray or from a replayed log's list; every later layer (the id, the
+payload checks, the contract write) reads those arrays.  Transaction ids
+and block digests come from `digest`, which hashes a binary encoding
+too: a canonical-JSON header with every float vector lifted out, then
+the vectors' float64 bytes, so no id prints a float.  The log itself
+stays length-prefixed canonical JSON, with each vector written as a list
+(`Transaction.to_record`).
 
 There is no cryptography here beyond content digests: sender identity is
 taken at face value, which is the appropriate level of fidelity for a
@@ -92,11 +97,12 @@ _SCALARS = frozenset({float, int, str, bool, type(None)})
 _NUMBERS = frozenset({float, int})
 # the element types of a list that digest hashes as float64 bytes
 _FLOAT = frozenset({float})
+_F8 = np.dtype(np.float64)
 
 
 def _plain(obj):
-    """A transaction payload as plain JSON values (dicts, lists, numbers,
-    strings) that share no mutable part with obj."""
+    """A value as plain JSON values (dicts, lists, numbers, strings) that
+    share no mutable part with obj: arrays become lists."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (np.ndarray, np.generic)):
@@ -106,6 +112,39 @@ def _plain(obj):
             return list(obj)
         return [_plain(v) for v in obj]
     return obj
+
+
+def _is_vector(obj) -> bool:
+    """A non-empty 1-D float64 array: how the ledger holds a float vector."""
+    return isinstance(obj, np.ndarray) and obj.ndim == 1 \
+        and obj.size > 0 and obj.dtype == _F8
+
+
+def _vectors(obj):
+    """A transaction payload as the ledger holds it: `_plain(obj)`,
+    except that each float vector, a non-empty 1-D float64 array or a
+    non-empty list of Python floats (as a replayed log holds it), becomes
+    a read-only float64 array of its own, copied once.  Other arrays and
+    numpy scalars go through `tolist()`, so `digest` gives every form of
+    a value the same bytes."""
+    if isinstance(obj, dict):
+        return {str(k): _vectors(v) for k, v in obj.items()}
+    if _is_vector(obj):
+        return _read_only(obj.copy())
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if not isinstance(obj, (list, tuple)):
+        return obj
+    if obj and _FLOAT.issuperset(map(type, obj)):
+        return _read_only(np.array(obj, float))
+    if _SCALARS.issuperset(map(type, obj)):
+        return list(obj)
+    return [_vectors(v) for v in obj]
+
+
+def _read_only(vec: np.ndarray) -> np.ndarray:
+    vec.setflags(write=False)
+    return vec
 
 
 def canonical(obj) -> bytes:
@@ -120,45 +159,54 @@ def canonical(obj) -> bytes:
 
 
 def digest(obj) -> str:
-    """SHA-256 of a typed binary encoding of plain JSON values: the one
-    content address of the ledger (transaction ids, block digests).
+    """SHA-256 of a typed binary encoding of plain JSON values and numpy
+    arrays: the one content address of the ledger (transaction ids,
+    block digests).
 
     The encoding mirrors `ContractState.root`: a length-prefixed
     canonical-JSON header, then the big-endian float64 bytes of every
-    non-empty list that holds floats only, in layout order.  The header
-    holds obj with each such list replaced by null, and beside it the
-    layout: the key path and length of each lifted list, in sorted key
-    order.  It is injective over plain JSON values: the header fixes
-    which lists are lifted and how long they are, so `[1.0]` and `[1]`,
-    `0.0` and `-0.0`, and a vector and a literal null at the same key
-    all give distinct bytes.  A non-finite float has no id: it raises
-    ValueError, inside a lifted list as anywhere else.
+    float vector, in layout order.  A float vector is a non-empty list
+    that holds floats only or a non-empty 1-D float64 array; any other
+    array counts as its `tolist()`, so obj and `_plain(obj)` have one
+    digest.  The header holds obj with each vector replaced by null, and
+    beside it the layout: the key path and length of each vector, in
+    sorted key order.  It is injective over plain JSON values: the
+    header fixes which lists are lifted and how long they are, so `[1.0]`
+    and `[1]`, `0.0` and `-0.0`, and a vector and a literal null at the
+    same key all give distinct bytes.  A non-finite float has no id: it
+    raises ValueError, inside a vector as anywhere else.
     """
-    layout, floats = [], []
+    layout, vectors = [], []
     header = canonical({"layout": layout,
-                        "value": _lift(obj, [], layout, floats)})
+                        "value": _lift(obj, [], layout, vectors)})
     h = hashlib.sha256(struct.pack(">I", len(header)) + header)
-    if floats:
-        data = struct.pack(f">{len(floats)}d", *floats)
-        if not np.isfinite(np.frombuffer(data, ">f8")).all():
+    if vectors:
+        data = np.concatenate(vectors, dtype=">f8")
+        if not np.isfinite(data).all():
             raise ValueError("non-finite float in a hashed vector")
-        h.update(data)
+        h.update(data.tobytes())
     return h.hexdigest()
 
 
-def _lift(obj, path, layout, floats):
-    """obj with each non-empty all-float list replaced by None; the list's
-    path and length go to layout and its values to floats, walking dict
+def _lift(obj, path, layout, vectors):
+    """obj with each float vector replaced by None; the vector's path and
+    length go to layout and the vector itself to vectors, walking dict
     keys in sorted order."""
     if isinstance(obj, dict):
-        return {k: _lift(obj[k], [*path, k], layout, floats)
+        return {k: _lift(obj[k], [*path, k], layout, vectors)
                 for k in sorted(obj)}
+    if isinstance(obj, np.ndarray):
+        if _is_vector(obj):
+            layout.append([path, len(obj)])
+            vectors.append(obj)
+            return None
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if obj and _FLOAT.issuperset(map(type, obj)):
             layout.append([path, len(obj)])
-            floats += obj
+            vectors.append(obj)
             return None
-        return [_lift(v, [*path, i], layout, floats)
+        return [_lift(v, [*path, i], layout, vectors)
                 for i, v in enumerate(obj)]
     return obj
 
@@ -167,9 +215,17 @@ def _lift(obj, path, layout, floats):
 # transactions and blocks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transaction:
-    """A transaction; its id is derived here from its content, never given."""
+    """A transaction; its id is derived here from its content, never given.
+
+    The payload is taken in once, here (`_vectors`): each float vector,
+    an agent's ndarray or a replayed log's list alike, becomes a
+    read-only float64 array of the transaction's own, and everything
+    else a plain JSON value.  `to_record` writes the vectors back as
+    lists, so the log stays canonical JSON.  Two transactions are equal
+    when their ids are, which covers every field.
+    """
     sender: str
     nonce: int
     kind: str
@@ -177,9 +233,17 @@ class Transaction:
     txid: str = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "payload", _plain(self.payload))
+        object.__setattr__(self, "payload", _vectors(self.payload))
         object.__setattr__(self, "txid", _tx_id(self.sender, self.nonce,
                                                 self.kind, self.payload))
+
+    def __eq__(self, other):
+        if not isinstance(other, Transaction):
+            return NotImplemented
+        return self.txid == other.txid
+
+    def __hash__(self):
+        return hash(self.txid)
 
     def to_record(self) -> dict:
         return {**vars(self), "payload": _plain(self.payload)}
@@ -292,10 +356,13 @@ class ContractState:
         if user not in self.users:
             raise ContractError(f"unknown user {user!r}")
         i = self.users.index(user)
-        aux, mult = self.aux[i].copy(), self.mult[i].copy()
-        peers = [(j, v) for j, v in enumerate(self.users) if j != i]
-        return DualSlice(aux={v: aux[j] for j, v in peers},
-                         mult={v: mult[j] for j, v in peers}, rho=self.rho)
+        peers = self.users[:i] + self.users[i + 1:]
+        # fresh float64 rows of the slice's own, which DualSlice takes as
+        # they are
+        aux = np.concatenate((self.aux[i, :i], self.aux[i, i + 1:]))
+        mult = np.concatenate((self.mult[i, :i], self.mult[i, i + 1:]))
+        return DualSlice(aux=dict(zip(peers, aux)),
+                         mult=dict(zip(peers, mult)), rho=self.rho)
 
     # -- serialization ----------------------------------------------------
 
@@ -441,7 +508,14 @@ class Chain:
     def records(self) -> list:
         """The chain log: the genesis record, then one record per block,
         as fresh plain values that share nothing with the chain."""
-        return [_plain(self._genesis), *(b.to_record() for b in self.blocks)]
+        return list(self._records())
+
+    def _records(self):
+        """`records` one at a time: save_log writes each as it comes, so
+        only one block's plain copy of its vectors is alive at once."""
+        yield _plain(self._genesis)
+        for block in self.blocks:
+            yield block.to_record()
 
     def state(self) -> ContractState:
         """The committed contract storage itself, not a copy: the state
@@ -484,6 +558,17 @@ class Chain:
         self._pool.append(tx)
         return tx.txid
 
+    def submit_txs(self, txs) -> list:
+        """Submit a batch all or nothing: if `submit_tx` refuses one, the
+        pool and the nonces are put back as they were and TxRejected
+        propagates, so none of the batch stays pooled."""
+        pool, nonces = list(self._pool), dict(self._nonces)
+        try:
+            return [self.submit_tx(tx) for tx in txs]
+        except TxRejected:
+            self._pool, self._nonces = pool, nonces
+            raise
+
     def _validate_payload(self, tx: Transaction):
         p = tx.payload
         if not isinstance(p, dict):
@@ -519,11 +604,19 @@ class Chain:
             raise TxRejected(f"unknown transaction kind {tx.kind!r}")
 
     def _check_vectors(self, what: str, vectors: dict):
+        """Each vector must hold H numbers.  `Transaction` made every
+        float vector a float64 array, whose shape is all there is to
+        check; a list left in a payload holds something else than
+        floats, so each element is checked."""
         H = self._state.horizon
         for key, vec in vectors.items():
-            if not (isinstance(vec, list) and len(vec) == H
-                    and _NUMBERS.issuperset(map(type, vec))):
-                raise TxRejected(f"{what} {key} must hold {H} numbers")
+            if isinstance(vec, np.ndarray):
+                if vec.shape == (H,):
+                    continue
+            elif isinstance(vec, list) and len(vec) == H \
+                    and _NUMBERS.issuperset(map(type, vec)):
+                continue
+            raise TxRejected(f"{what} {key} must hold {H} numbers")
 
     def produce_block(self) -> Block:
         """Seal the pool into the next block, as the scheduled proposer.
@@ -594,8 +687,7 @@ class Chain:
             except ContractError as exc:
                 raise SettlementError(
                     f"{exc}; settlement aborted") from exc
-        for tx in txs:
-            self.submit_tx(tx)
+        self.submit_txs(txs)
         self.produce_block()
         return txs
 
@@ -603,7 +695,7 @@ class Chain:
 
     def save_log(self, path):
         with open(path, "wb") as fh:
-            for record in self.records:
+            for record in self._records():
                 data = canonical(record)
                 fh.write(struct.pack(">I", len(data)))
                 fh.write(data)

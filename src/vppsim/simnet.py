@@ -108,7 +108,9 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
     such agent in delivery order, before any agent solves, so the chain
     is left as it was.  Otherwise delivers each agent its dual slice,
     submits every trading transaction, and seals the block (which runs
-    the dual update) at the last arrival.
+    the dual update) at the last arrival.  The transactions are
+    submitted as one batch: if the chain refuses one, TxRejected
+    propagates and the pool, the nonces and the tip stay as they were.
     """
     state = chain.state()
     if state.round != k:
@@ -133,12 +135,14 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
         txs[u] = trading_tx(u, chain.next_nonce(u),
                             agents[u].solve_round(dual))
     # events by tick, deliveries before arrivals, then by delivery rank
+    timeline = sorted(
+        [(deliver[u], False, i, u) for i, u in enumerate(order)]
+        + [(arrive[u], True, i, u) for i, u in enumerate(order)])
+    # the round is admitted whole or not at all, in arrival order
+    chain.submit_txs([txs[u] for _, arriving, _, u in timeline if arriving])
     tip = chain.tip()
-    for tick, arriving, _, u in sorted(
-            [(deliver[u], False, i, u) for i, u in enumerate(order)]
-            + [(arrive[u], True, i, u) for i, u in enumerate(order)]):
+    for tick, arriving, _, u in timeline:
         if arriving:
-            chain.submit_tx(txs[u])
             log.append(EventRecord(tick, "arrive", u, txs[u].txid))
         else:
             log.append(EventRecord(tick, "deliver", u, tip))
@@ -193,15 +197,17 @@ class ChainTransport:
     def finalize(self, schedules: dict, tariff: Tariff) -> list:
         """Record service commitments on chain, then settle in tokens."""
         last = self.tick
+        txs, events = [], []
         for u in sorted(schedules):
             s = schedules[u]
-            lat = _draw(self.rng, self.net.latency)
-            tick = self.tick + lat
-            tx = service_tx(u, self.chain.next_nonce(u),
-                            s.e_fit, s.e_dr, s.e_as)
-            self.chain.submit_tx(tx)
-            self.events.append(EventRecord(tick, "service", u, tx.txid))
+            tick = self.tick + _draw(self.rng, self.net.latency)
+            txs.append(service_tx(u, self.chain.next_nonce(u),
+                                  s.e_fit, s.e_dr, s.e_as))
+            events.append(EventRecord(tick, "service", u, txs[-1].txid))
             last = max(last, tick)
+        # the services are admitted whole or not at all, like a round
+        self.chain.submit_txs(txs)
+        self.events += events
         block = self.chain.produce_block()
         self.events.append(EventRecord(last, "block", block.proposer,
                                        block.digest))

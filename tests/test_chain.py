@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from vppsim.chain import (Block, Chain, ChainError, ContractError,
                           ContractState, CorruptionError, SettlementError,
-                          Transaction, TxFailed, TxRejected, _tx_id,
+                          Transaction, TxFailed, TxRejected, _plain, _tx_id,
                           canonical, digest, dump_text, load_log, replay,
                           service_tx, trading_tx, transfer_tx)
 from vppsim.cli import main
@@ -103,7 +103,9 @@ def test_record_shares_no_mutable_part_with_the_transaction():
     record = tx.to_record()
     record["payload"]["trades"]["v"][0] = 9.0
     record["payload"]["trades"]["w"] = []
-    assert tx.payload["trades"] == {"v": [0.5, -0.0], "w": [1.0, 2.0]}
+    # the payload holds arrays, which compare elementwise: compare lists
+    assert {v: vec.tolist() for v, vec in tx.payload["trades"].items()} \
+        == {"v": [0.5, -0.0], "w": [1.0, 2.0]}
     assert tx.txid == _tx_id(tx.sender, tx.nonce, tx.kind, tx.payload)
 
 
@@ -180,6 +182,103 @@ def test_non_finite_floats_have_no_digest():
             trading_tx("u", 0, {"v": [0.0, 0.0], "w": vec})
         with pytest.raises(ValueError):
             service_tx("u", 0, [0.0, 0.0], vec, [0.0, 0.0])
+
+
+# values holding numpy arrays: float64 vectors (empty ones and -0.0
+# included), int vectors and float matrices, alone, in lists and in dicts
+_f64_arrays = st.lists(st.one_of(_finite, st.just(-0.0)), max_size=5).map(
+    lambda xs: np.array(xs, float))
+_int_arrays = st.lists(st.integers(-2**40, 2**40), max_size=4).map(
+    lambda xs: np.array(xs, np.int64))
+_matrices = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda rc: st.lists(_finite, min_size=rc[0] * rc[1],
+                        max_size=rc[0] * rc[1]).map(
+        lambda xs: np.array(xs, float).reshape(rc)))
+_array_values = st.recursive(
+    st.one_of(_leaves, _f64_arrays, _int_arrays, _matrices),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+    max_leaves=16)
+_vectors_of = st.lists(_finite, min_size=1, max_size=6).map(
+    lambda xs: np.array(xs, float))
+
+
+def _from_log(tx):
+    """tx rebuilt as replay rebuilds it, from its record as the log holds
+    it: canonical JSON, read back."""
+    raw = json.loads(canonical(tx.to_record()))
+    assert raw["txid"] == tx.txid
+    return Transaction(**{k: v for k, v in raw.items() if k != "txid"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_array_values)
+def test_arrays_and_their_lists_have_one_digest(obj):
+    assert digest(obj) == digest(_plain(obj))
+    doc = {"payload": obj, "n": [obj, {"k": obj}]}
+    assert digest(doc) == digest(_plain(doc))
+    tx = Transaction("u", 0, "any", {"v": obj})
+    assert tx.txid == digest({"sender": "u", "nonce": 0, "kind": "any",
+                              "payload": {"v": _plain(obj)}})
+    assert _from_log(tx) == tx
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(["v", "w", "x"]), _vectors_of,
+                       min_size=1))
+def test_trading_id_is_the_same_live_and_replayed(trades):
+    tx = trading_tx("u", 3, trades)
+    lists = {v: vec.tolist() for v, vec in trades.items()}
+    replayed = _from_log(tx)
+    assert replayed.txid == tx.txid \
+        == trading_tx("u", 3, lists).txid \
+        == _tx_id("u", 3, "trading", {"user": "u", "trades": lists})
+    assert replayed == tx
+    for v, vec in replayed.payload["trades"].items():
+        assert vec.dtype == np.float64 and not vec.flags.writeable
+        assert vec.tobytes() == trades[v].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_vectors_of, st.sampled_from([float("nan"), float("inf"),
+                                     float("-inf")]), st.integers(0, 5))
+def test_non_finite_vectors_still_have_no_id(vec, bad, at):
+    vec[at % len(vec)] = bad
+    with pytest.raises(ValueError):
+        trading_tx("u", 0, {"v": vec})
+    with pytest.raises(ValueError):
+        Transaction("u", 0, "trading",
+                    {"user": "u", "trades": {"v": vec.tolist()}})
+    with pytest.raises(ValueError):
+        digest({"v": vec})
+
+
+def test_transaction_vectors_are_read_only_and_its_own():
+    live = np.array([0.5, -0.0, 1.0])
+    logged = [0.25, 2.0, -1.0]
+    tx = trading_tx("u", 0, {"v": live, "w": np.array(logged)})
+    fed = Transaction("u", 0, "trading",
+                      {"user": "u", "trades": {"v": live.copy(),
+                                               "w": logged}})
+    txid = tx.txid
+    live[0] = 9.0
+    logged[0] = 9.0
+    for t in (tx, fed):
+        assert t.txid == txid
+        assert {v: vec.tolist() for v, vec in t.payload["trades"].items()} \
+            == {"v": [0.5, -0.0, 1.0], "w": [0.25, 2.0, -1.0]}
+        for vec in t.payload["trades"].values():
+            with pytest.raises(ValueError):
+                vec[0] = 9.0
+    assert txid == _tx_id("u", 0, "trading", _plain(tx.payload))
+    # equality and hashing go by id and never compare arrays elementwise
+    assert tx == fed and hash(tx) == hash(fed) and len({tx, fed}) == 1
+    assert tx != trading_tx("u", 1, {"v": live, "w": np.array(logged)})
+    service = service_tx("u", 0, live, [1.0, 2.0, 3.0], np.zeros(3))
+    live[1] = 7.0
+    assert service.payload["e_fit"].tolist() == [9.0, -0.0, 1.0]
+    assert not service.payload["e_dr"].flags.writeable
 
 
 def test_tx_id_tracks_content():
@@ -442,6 +541,48 @@ def test_fixed_history_has_a_pinned_state_root():
     assert state.root() != chain.blocks[-1].state_root
 
 
+def _scripted_ledger():
+    """Five households, four trading rounds of seeded trades, a block of
+    service commitments and a settlement; no QP runs."""
+    users = [f"h{i}" for i in range(1, 6)]
+    H = 6
+    chain = Chain(users, ["a0", "a1", "a2"], H, rho=0.8)
+    rng = np.random.default_rng(2024)
+    for k in range(4):
+        for u in users:
+            chain.submit_tx(trading_tx(u, k, {
+                v: rng.normal(0.0, 0.4, H) for v in users if v != u}))
+        chain.produce_block()
+    for u in users:
+        chain.submit_tx(service_tx(u, 4, rng.uniform(0.0, 1.0, H),
+                                   rng.uniform(0.0, 0.5, H), np.zeros(H)))
+    chain.produce_block()
+    trades = chain.state().trades
+    schedules = {u: zero_schedule(H, e_fit=rng.uniform(0.0, 1.0, H),
+                                  trades={v: trades[i, j]
+                                          for j, v in enumerate(users)
+                                          if j != i})
+                 for i, u in enumerate(users)}
+    chain.settle(schedules, toy_tariff(H, pi_p2p=0.6, pi_fit=0.1))
+    return chain
+
+
+def test_scripted_ledger_has_a_pinned_tip_and_log(tmp_path):
+    # Every byte the ledger mints from trade and service vectors: the
+    # transaction ids, block digests and state roots behind the tip, and
+    # the saved log.  The dual update and settlement are elementwise, so
+    # no BLAS thread count moves these.
+    chain = _scripted_ledger()
+    path = tmp_path / "chain.log"
+    chain.save_log(path)
+    assert chain.height == 6 and len(chain.blocks[-1].txs) == 15
+    assert chain.tip() == (
+        "1a6449e496ac79b64d4af77134a05b46039e19a6ccc98e500c4d9bb9c6cd4e89")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "51e83a2e636eaa893d2373f0412a479e6a8752c28615374cca5b59b168a01edf")
+    assert replay(path).root() == chain.blocks[-1].state_root
+
+
 def test_committed_state_is_read_only_and_keeps_its_root():
     chain = small_chain()
     genesis = chain.state()
@@ -664,6 +805,18 @@ def test_unpayable_settlement_aborts_atomically():
     assert chain.height == 0
     assert chain.state().balances == before
     assert list(chain.produce_block().txs) == []
+
+
+def test_settlement_refused_at_submission_pools_nothing():
+    chain = small_chain()
+    tariff = toy_tariff(2, pi_fit=0.25)
+    # the operator's payment to u is fine; the one to a stranger is refused
+    schedules = {"u": zero_schedule(2, e_fit=[1.0, 0.0]),
+                 "zz": zero_schedule(2, e_fit=[1.0, 0.0])}
+    with pytest.raises(TxRejected, match="unknown transfer recipient"):
+        chain.settle(schedules, tariff)
+    assert chain._pool == [] and chain.next_nonce("operator") == 0
+    assert chain.height == 0
 
 
 def test_all_zero_schedules_settle_to_nothing():

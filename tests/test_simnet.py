@@ -7,9 +7,10 @@ import pytest
 from conftest import surplus_pair, toy_tariff
 
 from vppsim.agent import AgentRuntime, resolve_trade_cap
-from vppsim.chain import Chain, ContractState
+from vppsim.chain import Chain, ContractState, TxRejected
 from vppsim.coordinator import AlgoConfig, convergence, run_decentralized
 from vppsim.experiment import run_co
+from vppsim.model import Schedule
 from vppsim.scenario_io import gen_synthetic
 from vppsim.simnet import (ChainTransport, NetConfig, RoundTimeout,
                            SimError, run_round, write_events)
@@ -156,6 +157,36 @@ def test_timed_out_round_leaves_the_chain_as_it_found_it():
     assert state.round == 1 and state.submitted == set()
 
 
+class ShortAgent(ScriptedAgent):
+    """Answers with vectors one slot short of the chain's horizon."""
+
+    def solve_round(self, dual):
+        return {v: vec[:-1] for v, vec in super().solve_round(dual).items()}
+
+
+def test_refused_round_leaves_the_pool_and_nonces_as_they_were():
+    ids = ["u1", "u2", "u3"]
+    agents = scripted_agents(ids)
+    agents["u3"] = ShortAgent(["u1", "u2"], 2)
+    chain = Chain(ids, ["a0"], 4)
+    tip = chain.tip()
+    events = []
+    # u3's transaction arrives last, after u1's and u2's
+    with pytest.raises(TxRejected, match="must hold 4 numbers"):
+        run_round(0, agents, chain, NetConfig(latency=1, timeout=10),
+                  np.random.default_rng(0), events=events)
+    assert chain._pool == [] and events == []
+    assert [chain.next_nonce(u) for u in ids] == [0, 0, 0]
+    assert chain.height == 0 and chain.tip() == tip
+    # the retried round seals this round's trades only, one per agent
+    agents["u3"] = ScriptedAgent(["u1", "u2"], 2)
+    out = run_round(0, agents, chain, NetConfig(latency=1, timeout=10),
+                    np.random.default_rng(0), events=events)
+    assert [(tx.sender, tx.nonce) for tx in out.block.txs] == \
+        [(u, 0) for u in ids]
+    assert chain.state().round == 1
+
+
 def test_scripted_rounds_give_a_pinned_event_log(tmp_path):
     # ticks, kinds, order and refs of five rounds with same-tick
     # deliveries and arrivals, as the event-heap simulation wrote them
@@ -263,6 +294,21 @@ def test_finalize_records_services_then_settles(tmp_path):
     assert lines[0] == "# tick\tkind\tnode\tref"
     assert len(lines) == len(transport.events) + 1
     assert all(len(ln.split("\t")) == 4 for ln in lines[1:])
+
+
+def test_refused_service_leaves_the_pool_and_events_as_they_were():
+    transport = ChainTransport(surplus_pair(2), toy_tariff(2, pi_fit=0.1),
+                               AlgoConfig())
+    z2, z3 = np.zeros(2), np.zeros(3)
+    # ua's commitments are fine; ub's cover three slots of a 2-slot day
+    schedules = {u: Schedule(g=z, r=z, l_ac=z, l_fl=z, c=z, d=z, e_fit=z,
+                             e_dr=z, e_as=z, peak=0.0, trades={})
+                 for u, z in (("ua", z2), ("ub", z3))}
+    with pytest.raises(TxRejected, match="service vector e_fit"):
+        transport.finalize(schedules, toy_tariff(2, pi_fit=0.1))
+    assert transport.chain._pool == [] and transport.events == []
+    assert transport.chain.next_nonce("ua") == 0
+    assert transport.chain.height == 0
 
 
 def test_every_event_ref_names_an_address_in_the_days_chain_log():
