@@ -1,8 +1,8 @@
 """Simulated proof-of-authority ledger hosting the coordination contract.
 
 The chain is a deterministic state machine: a fixed list of named
-authorities, set at genesis, takes turns producing blocks, each block
-drains the pending transaction pool in (sender, nonce) order, and
+authorities, set at genesis, takes turns sealing blocks, each from one
+explicit batch applied in (sender, nonce) order, all or nothing, and
 `apply_tx` is the only state transition, a pure function of the parent
 state and one ordered transaction.  The contract storage holds the
 trading coordination state (trades, auxiliary trades, multipliers, round
@@ -12,10 +12,11 @@ carries the chain's own inputs, so replay re-runs the whole log through
 a `Chain` and accepts it only if every rebuilt record equals the logged
 one byte for byte; `dump_text` renders only a log that replays.
 
-A transaction's float vectors become read-only float64 arrays in one
-place, `Transaction.__post_init__`, whether they come from an agent's
-ndarray or from a replayed log's list; every later layer (the id, the
-payload checks, the contract write) reads those arrays.  Transaction ids
+A transaction's payload is taken in once, read-only, in
+`Transaction.__post_init__`: float vectors, from an agent's ndarray or a
+replayed log's list, become float64 arrays, maps mappingproxies and
+other lists tuples; every later layer (the id, the payload checks, the
+contract write) reads that payload.  Transaction ids
 and block digests come from `digest`, which hashes a binary encoding
 too: a canonical-JSON header with every float vector lifted out, then
 the vectors' float64 bytes, so no id prints a float.  The log itself
@@ -56,22 +57,28 @@ class ChainError(Exception):
     pass
 
 
-class TxRejected(ChainError):
-    """Transaction refused at submission (bad sender, nonce, or payload)."""
-
-
 class ContractError(ChainError):
     """Contract function precondition violated."""
 
 
-class TxFailed(ContractError):
-    """A pooled transaction failed to apply and was dropped from the pool."""
+class _TxError(ChainError):
+    """A transaction that kept its block from being sealed, named by its
+    sender and nonce."""
 
     def __init__(self, tx, detail):
-        self.sender = tx.sender
-        self.nonce = tx.nonce
+        self.sender, self.nonce = tx.sender, tx.nonce
         super().__init__(
-            f"transaction {tx.sender}:{tx.nonce} dropped: {detail}")
+            f"transaction {tx.sender}:{tx.nonce} {self.verdict}: {detail}")
+
+
+class TxRejected(_TxError):
+    """Transaction refused at admission (bad sender, nonce, or payload)."""
+    verdict = "refused"
+
+
+class TxFailed(_TxError, ContractError):
+    """Transaction admitted but failing to apply."""
+    verdict = "does not apply"
 
 
 class SettlementError(ChainError):
@@ -93,6 +100,8 @@ class CorruptionError(ChainError):
 
 # the leaf types of a JSON value that need no conversion and no copy
 _SCALARS = frozenset({float, int, str, bool, type(None)})
+# a JSON object: a plain dict, or a transaction payload's read-only view
+_MAPS = (dict, MappingProxyType)
 # the number types of a plain payload (no NaN or inf: it would have no id)
 _NUMBERS = frozenset({float, int})
 # the element types of a list that digest hashes as float64 bytes
@@ -103,7 +112,7 @@ _F8 = np.dtype(np.float64)
 def _plain(obj):
     """A value as plain JSON values (dicts, lists, numbers, strings) that
     share no mutable part with obj: arrays become lists."""
-    if isinstance(obj, dict):
+    if isinstance(obj, _MAPS):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
@@ -121,14 +130,15 @@ def _is_vector(obj) -> bool:
 
 
 def _vectors(obj):
-    """A transaction payload as the ledger holds it: `_plain(obj)`,
-    except that each float vector, a non-empty 1-D float64 array or a
-    non-empty list of Python floats (as a replayed log holds it), becomes
-    a read-only float64 array of its own, copied once.  Other arrays and
+    """A transaction payload as the ledger holds it, read-only throughout:
+    `_plain(obj)`, except that each float vector, a non-empty 1-D float64
+    array or a non-empty list of Python floats (as a replayed log holds
+    it), becomes a read-only float64 array of its own, copied once, each
+    map a read-only mapping and each other list a tuple.  Other arrays and
     numpy scalars go through `tolist()`, so `digest` gives every form of
     a value the same bytes."""
-    if isinstance(obj, dict):
-        return {str(k): _vectors(v) for k, v in obj.items()}
+    if isinstance(obj, _MAPS):
+        return MappingProxyType({str(k): _vectors(v) for k, v in obj.items()})
     if _is_vector(obj):
         return _read_only(obj.copy())
     if isinstance(obj, (np.ndarray, np.generic)):
@@ -138,8 +148,8 @@ def _vectors(obj):
     if obj and _FLOAT.issuperset(map(type, obj)):
         return _read_only(np.array(obj, float))
     if _SCALARS.issuperset(map(type, obj)):
-        return list(obj)
-    return [_vectors(v) for v in obj]
+        return tuple(obj)
+    return tuple(_vectors(v) for v in obj)
 
 
 def _read_only(vec: np.ndarray) -> np.ndarray:
@@ -192,7 +202,7 @@ def _lift(obj, path, layout, vectors):
     """obj with each float vector replaced by None; the vector's path and
     length go to layout and the vector itself to vectors, walking dict
     keys in sorted order."""
-    if isinstance(obj, dict):
+    if isinstance(obj, _MAPS):
         return {k: _lift(obj[k], [*path, k], layout, vectors)
                 for k in sorted(obj)}
     if isinstance(obj, np.ndarray):
@@ -221,15 +231,16 @@ class Transaction:
 
     The payload is taken in once, here (`_vectors`): each float vector,
     an agent's ndarray or a replayed log's list alike, becomes a
-    read-only float64 array of the transaction's own, and everything
-    else a plain JSON value.  `to_record` writes the vectors back as
-    lists, so the log stays canonical JSON.  Two transactions are equal
-    when their ids are, which covers every field.
+    read-only float64 array of the transaction's own, each map a
+    read-only mapping and each other list a tuple, so no edit can make
+    the content differ from the id.  `to_record` writes the payload back
+    as plain dicts and lists, so the log stays canonical JSON.  Two
+    transactions are equal when their ids are, which covers every field.
     """
     sender: str
     nonce: int
     kind: str
-    payload: dict
+    payload: MappingProxyType
     txid: str = field(init=False)
 
     def __post_init__(self):
@@ -461,10 +472,10 @@ class Chain:
     """Proof-of-authority chain with round-robin block production.
 
     The authorities are fixed at genesis and take turns as proposers by
-    height.  State changes only by `apply_tx`: a block applies the
-    pooled transactions to a copy of the committed state, and settlement
-    checks its batch the same way before submitting it.  Each block is
-    stored once: `records` derives the log from the genesis inputs and
+    height.  Every writer (a trading round, the service commitments,
+    settlement, replay) seals its batch with one `produce_block(txs)`
+    call, which commits all of it or nothing; there is no pending pool.
+    Each block is stored once: `records` derives the log from the genesis inputs and
     the blocks, and save_log persists it as length-prefixed canonical
     JSON.  The simulation drives a chain from one thread; it takes no
     lock.
@@ -490,7 +501,6 @@ class Chain:
         self._accounts = set(users) | {OPERATOR}
         self._nonces: dict[str, int] = {}
         self._authorities = tuple(authorities)
-        self._pool: list[Transaction] = []
         self.blocks: list[Block] = []
         self._genesis = {
             "type": RECORD_GENESIS, "authorities": authorities,
@@ -544,99 +554,94 @@ class Chain:
 
     # -- write side -------------------------------------------------------
 
-    def submit_tx(self, tx: Transaction) -> str:
+    def submit_tx(self, tx: Transaction, nonces: dict):
+        """Admit one transaction against `nonces` (sender -> last nonce),
+        which it advances; raises TxRejected for an unknown sender, a
+        nonce that is not an int above the sender's last, or a malformed
+        payload."""
         if not isinstance(tx.sender, str) or tx.sender not in self._accounts:
-            raise TxRejected(f"unknown sender {tx.sender!r}")
+            raise TxRejected(tx, f"unknown sender {tx.sender!r}")
         if type(tx.nonce) is not int:
-            raise TxRejected(f"nonce {tx.nonce!r} is not an integer")
-        last = self._nonces.get(tx.sender, -1)
+            raise TxRejected(tx, f"nonce {tx.nonce!r} is not an integer")
+        last = nonces.get(tx.sender, -1)
         if tx.nonce <= last:
             raise TxRejected(
-                f"nonce {tx.nonce} for {tx.sender} not above {last}")
+                tx, f"nonce {tx.nonce} for {tx.sender} not above {last}")
         self._validate_payload(tx)
-        self._nonces[tx.sender] = tx.nonce
-        self._pool.append(tx)
-        return tx.txid
-
-    def submit_txs(self, txs) -> list:
-        """Submit a batch all or nothing: if `submit_tx` refuses one, the
-        pool and the nonces are put back as they were and TxRejected
-        propagates, so none of the batch stays pooled."""
-        pool, nonces = list(self._pool), dict(self._nonces)
-        try:
-            return [self.submit_tx(tx) for tx in txs]
-        except TxRejected:
-            self._pool, self._nonces = pool, nonces
-            raise
+        nonces[tx.sender] = tx.nonce
 
     def _validate_payload(self, tx: Transaction):
         p = tx.payload
-        if not isinstance(p, dict):
-            raise TxRejected(f"{tx.kind} payload is not an object")
+        if not isinstance(p, _MAPS):
+            raise TxRejected(tx, f"{tx.kind} payload is not an object")
         if tx.kind == TX_TRANSFER:
             if set(p) != {"from", "to", "amount"}:
-                raise TxRejected("malformed transfer payload")
+                raise TxRejected(tx, "malformed transfer payload")
             if p["from"] != tx.sender:
-                raise TxRejected("transfer source must be the sender")
+                raise TxRejected(tx, "transfer source must be the sender")
             if not isinstance(p["to"], str) or p["to"] not in self._accounts:
-                raise TxRejected(f"unknown transfer recipient {p['to']!r}")
+                raise TxRejected(
+                    tx, f"unknown transfer recipient {p['to']!r}")
             if type(p["amount"]) not in _NUMBERS or p["amount"] < 0:
-                raise TxRejected(f"bad transfer amount {p['amount']!r}")
+                raise TxRejected(tx, f"bad transfer amount {p['amount']!r}")
         elif tx.kind == TX_TRADING:
             if set(p) != {"user", "trades"} \
-                    or not isinstance(p["trades"], dict):
-                raise TxRejected("malformed trading payload")
+                    or not isinstance(p["trades"], _MAPS):
+                raise TxRejected(tx, "malformed trading payload")
             if p["user"] != tx.sender:
-                raise TxRejected("trading user must be the sender")
+                raise TxRejected(tx, "trading user must be the sender")
             peers = [u for u in self._state.users if u != tx.sender]
             if tx.sender not in self._state.users \
                     or sorted(p["trades"]) != peers:
                 raise TxRejected(
-                    f"trades of {tx.sender} must cover exactly {peers}")
-            self._check_vectors("trade vector to", p["trades"])
+                    tx, f"trades of {tx.sender} must cover exactly {peers}")
+            self._check_vectors(tx, "trade vector to", p["trades"])
         elif tx.kind == TX_SERVICE:
             if set(p) != {"e_fit", "e_dr", "e_as"}:
-                raise TxRejected("malformed service payload")
+                raise TxRejected(tx, "malformed service payload")
             if tx.sender not in self._state.users:
-                raise TxRejected("service sender is not a user")
-            self._check_vectors("service vector", p)
+                raise TxRejected(tx, "service sender is not a user")
+            self._check_vectors(tx, "service vector", p)
         else:
-            raise TxRejected(f"unknown transaction kind {tx.kind!r}")
+            raise TxRejected(tx, f"unknown transaction kind {tx.kind!r}")
 
-    def _check_vectors(self, what: str, vectors: dict):
+    def _check_vectors(self, tx: Transaction, what: str, vectors):
         """Each vector must hold H numbers.  `Transaction` made every
         float vector a float64 array, whose shape is all there is to
-        check; a list left in a payload holds something else than
+        check; a tuple left in a payload holds something else than
         floats, so each element is checked."""
         H = self._state.horizon
         for key, vec in vectors.items():
             if isinstance(vec, np.ndarray):
                 if vec.shape == (H,):
                     continue
-            elif isinstance(vec, list) and len(vec) == H \
+            elif isinstance(vec, tuple) and len(vec) == H \
                     and _NUMBERS.issuperset(map(type, vec)):
                 continue
-            raise TxRejected(f"{what} {key} must hold {H} numbers")
+            raise TxRejected(tx, f"{what} {key} must hold {H} numbers")
 
-    def produce_block(self) -> Block:
-        """Seal the pool into the next block, as the scheduled proposer.
-
-        A transaction that fails to apply leaves the pool and raises
-        TxFailed; nothing is committed, and the next block seals the
-        rest of the pool.
-        """
-        txs = sorted(self._pool, key=lambda t: (t.sender, t.nonce))
+    def produce_block(self, txs=()) -> Block:
+        """Seal the batch txs into the next block, as the scheduled
+        proposer, all or nothing: each transaction is admitted in the given
+        order (`submit_tx`) against a copy of the committed nonces, and the
+        batch is applied in (sender, nonce) order (`apply_tx`) to a copy of
+        the committed state; only then are the state, the nonces and the
+        blocks replaced.  A TxRejected or TxFailed leaves the chain as it
+        was."""
+        txs, nonces = list(txs), dict(self._nonces)
+        for tx in txs:
+            self.submit_tx(tx, nonces)
+        txs.sort(key=lambda t: (t.sender, t.nonce))
         work = self._state.copy()
         for tx in txs:
             try:
                 apply_tx(work, tx)
             except ContractError as exc:
-                self._pool.remove(tx)
                 raise TxFailed(tx, exc) from exc
         block = Block(self.height, self.tip(), self.scheduled_proposer(),
                       tuple(txs), work.root())
         self._state = _committed(work)
-        self._pool = []
+        self._nonces = nonces
         self.blocks.append(block)
         return block
 
@@ -647,9 +652,9 @@ class Chain:
 
         One transfer per unordered trading pair (buyer pays seller the
         net peer-to-peer bill) plus one operator payment per user for
-        feed-in, demand-response and ancillary-service rewards.  The
-        whole batch is applied to a copy of the committed state first;
-        if any transfer fails, nothing is submitted.
+        feed-in, demand-response and ancillary-service rewards, sealed as
+        one block.  If any transfer is refused (TxRejected) or fails to
+        apply (SettlementError), nothing is committed.
         """
         planned: list[tuple] = []
         for u in sorted(schedules):
@@ -677,18 +682,13 @@ class Chain:
         nonces = dict(self._nonces)
         txs = []
         for src, dst, amount in planned:
-            nonce = nonces.get(src, -1) + 1
-            nonces[src] = nonce
-            txs.append(transfer_tx(src, nonce, dst, amount))
-        trial = self._state.copy()
-        for tx in sorted(txs, key=lambda t: (t.sender, t.nonce)):
-            try:
-                apply_tx(trial, tx)
-            except ContractError as exc:
-                raise SettlementError(
-                    f"{exc}; settlement aborted") from exc
-        self.submit_txs(txs)
-        self.produce_block()
+            nonces[src] = nonces.get(src, -1) + 1
+            txs.append(transfer_tx(src, nonces[src], dst, amount))
+        try:
+            self.produce_block(txs)
+        except TxFailed as exc:
+            raise SettlementError(
+                f"{exc.__cause__}; settlement aborted") from exc
         return txs
 
     # -- persistence ------------------------------------------------------
@@ -761,8 +761,8 @@ def replay(source) -> ContractState:
 
     Accepts a path or an already-loaded record list.  The genesis is
     rebuilt by `Chain` from the logged inputs; each block's transactions
-    are submitted to it and sealed by `produce_block`, so a block passes
-    every check the live chain makes.  Each rebuilt record must equal the
+    are sealed by one `produce_block` call, so a block passes every
+    check the live chain makes.  Each rebuilt record must equal the
     logged one byte for byte.  Raises CorruptionError naming the genesis
     or the first block whose record is malformed, holds a transaction the
     chain refuses or cannot apply, or differs from the rebuilt record.
@@ -780,23 +780,17 @@ def replay(source) -> ContractState:
         _check_record(None, _fields(chain.records[0]), genesis)
     for height, record in enumerate(records[1:]):
         with _reading(height):
+            txs = []
             for raw in record["txs"]:
                 tx = Transaction(**{k: raw[k] for k in raw if k != "txid"})
                 if tx.txid != raw["txid"]:
                     raise CorruptionError(height, "transaction id mismatch "
                                           f"for {tx.sender}:{tx.nonce}")
-                try:
-                    chain.submit_tx(tx)
-                except TxRejected as exc:
-                    raise CorruptionError(
-                        height, f"transaction {tx.sender}:{tx.nonce} "
-                        f"refused ({exc})") from exc
+                txs.append(tx)
             try:
-                block = chain.produce_block()
-            except TxFailed as exc:
-                raise CorruptionError(
-                    height, f"transaction {exc.sender}:{exc.nonce} does "
-                    f"not apply ({exc.__cause__})") from exc
+                block = chain.produce_block(txs)
+            except _TxError as exc:
+                raise CorruptionError(height, str(exc)) from exc
             _check_record(height, _block_fields(block), record)
     return chain.state()
 

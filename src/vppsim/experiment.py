@@ -15,7 +15,7 @@ import numpy as np
 
 from .agent import build_centralized, build_sa_problem, decode, decode_all
 from .coordinator import run_decentralized
-from .model import (CO, SA, Schedule, Tariff, UserProfile,
+from .model import (SA, Schedule, Tariff, UserProfile,
                     battery_trajectory, check_feasibility, cost_breakdown)
 from .qp import OPTIMAL, QpSolver
 from .scenario_io import Scenario
@@ -74,6 +74,8 @@ class SaRun:
 class CoRun:
     schedules: dict          # user id -> list of per-day Schedule
     costs: dict              # user id -> total over days
+    day_costs: list          # per day, user id -> that day's cost
+    b_starts: list           # per day, user id -> start battery (or None)
     converged: bool
     feasible: bool
     iterations: list         # per day
@@ -135,8 +137,9 @@ def run_co(scenario: Scenario, settle: bool = True) -> CoRun:
     slots = scenario.horizon.slots
     users = scenario.users
     schedules = {u.user_id: [] for u in users}
-    costs = dict.fromkeys(schedules, 0.0)
     carry = dict.fromkeys(schedules, None)
+    day_costs = []
+    b_starts = []
     iterations = []
     traces = []
     transports = []
@@ -152,6 +155,8 @@ def run_co(scenario: Scenario, settle: bool = True) -> CoRun:
         transport = ChainTransport(profiles, tariff, scenario.algo, net=net)
         res = run_decentralized(transport)
         transports.append(transport)
+        day_costs.append(res.costs)
+        b_starts.append(dict(carry))
         iterations.append(res.iterations)
         traces.append(res.trace)
         residual = max(residual, res.trade_residual)
@@ -159,15 +164,16 @@ def run_co(scenario: Scenario, settle: bool = True) -> CoRun:
         for p in profiles:
             s = res.schedules[p.user_id]
             schedules[p.user_id].append(s)
-            costs[p.user_id] += res.costs[p.user_id]
             carry[p.user_id] = _battery_end(s, p)
         if not res.converged:
             converged = False
             break
         if settle:
             settlements.append(transport.finalize(res.schedules, tariff))
-    return CoRun(schedules=schedules, costs=costs, converged=converged,
-                 feasible=feasible, iterations=iterations, traces=traces,
+    costs = {u: sum(day[u] for day in day_costs) for u in schedules}
+    return CoRun(schedules=schedules, costs=costs, day_costs=day_costs,
+                 b_starts=b_starts, converged=converged, feasible=feasible,
+                 iterations=iterations, traces=traces,
                  trade_residual=residual, transports=transports,
                  settlements=settlements)
 
@@ -215,26 +221,19 @@ def run_verify_oracle(scenario: Scenario) -> OracleRun:
     Each day's oracle problem starts from the cooperative run's battery
     level for that day, so both sides solve the identical day problem
     and the per-day relative gap isolates the trading loop's accuracy.
+    The cooperative side reads the run's own costs and battery levels.
     """
     co = run_co(scenario, settle=False)
     if not co.converged:
         return OracleRun(co=co, co_total=float("nan"),
                          oracle_total=float("nan"),
                          rel_gap=float("inf"), day_gaps=[])
-    slots = scenario.horizon.slots
     day_gaps = []
     oracle_total = 0.0
     co_total = 0.0
-    carry: dict = {}
     for day in range(scenario.days):
-        obj, scheds = centralized_day(scenario, day, carry)
-        co_day = 0.0
-        tariff = day_tariff(scenario.tariff, day, slots)
-        for u in scenario.users:
-            p = day_profile(u, day, slots, carry.get(u.user_id))
-            s = co.schedules[u.user_id][day]
-            co_day += cost_breakdown(s, p, tariff, CO).total
-            carry[u.user_id] = _battery_end(s, p)
+        obj, _ = centralized_day(scenario, day, co.b_starts[day])
+        co_day = sum(co.day_costs[day][u.user_id] for u in scenario.users)
         oracle_total += obj
         co_total += co_day
         day_gaps.append(abs(co_day - obj) / max(1.0, abs(obj)))

@@ -167,7 +167,6 @@ class QpSolution:
     residuals: dict      # {'primal': float, 'dual': float}
     objective: float = 0.0
     polished: bool = False
-    certificate: np.ndarray | None = None
 
 
 def _csr(a) -> sp.csr_array:
@@ -339,7 +338,6 @@ class QpSolver:
 
         status = MAX_ITER
         it = 0
-        cert = None
         pinf_hits = dinf_hits = 0
         r_prim = r_dual = np.inf
         rescue_ref = np.inf
@@ -386,7 +384,6 @@ class QpSolver:
                     pinf_hits += 1
                     if pinf_hits >= 2:
                         status = INFEASIBLE
-                        cert = (y - y_prev).copy()
                         break
                 else:
                     pinf_hits = 0
@@ -394,7 +391,6 @@ class QpSolver:
                     dinf_hits += 1
                     if dinf_hits >= 2:
                         status = UNBOUNDED
-                        cert = (x - x_prev).copy()
                         break
                 else:
                     dinf_hits = 0
@@ -417,7 +413,7 @@ class QpSolver:
             x=x, y=y.copy(), status=status, iterations=it,
             residuals={"primal": r_prim if np.isfinite(r_prim) else 0.0,
                        "dual": r_dual},
-            objective=_objective(self.problem, x, q, cn), certificate=cert)
+            objective=_objective(self.problem, x, q, cn))
         if status == OPTIMAL and polish:
             self._polish(sol, q, cn, z=z)
         elif status == MAX_ITER and polish:
@@ -474,7 +470,7 @@ class QpSolver:
                             format="csr")
         rhs = np.concatenate([-q, rhs_g])
         try:
-            kkt_solve = _kkt_solver(self.problem.quad, G, 1e-9)
+            kkt_solve = _kkt_solver(K0, self.problem.quad, G, 1e-9)
         except (ValueError, np.linalg.LinAlgError):
             return None, None
 
@@ -606,8 +602,11 @@ def _kkt_max(problem, sol, q) -> float:
     return max(vals) if all(np.isfinite(v) for v in vals) else np.inf
 
 
-def _kkt_solver(Q, G, delta):
+def _kkt_solver(K0, Q, G, delta):
     """Factor [[Q + delta I, G'], [G, -delta I]]; returns its solve.
+
+    K0 is the unregularized [[Q, G'], [G, 0]] in CSR form, as
+    `_solve_active` assembles it for its refinement.
 
     The pinned pairs are eliminated exactly.  A pair is a variable j whose
     Q row holds at most its diagonal and the first row r of G that touches
@@ -621,8 +620,7 @@ def _kkt_solver(Q, G, delta):
     inverse.
     """
     k, n = G.shape
-    K = sp.block_array([[Q, G.T], [G, None]], format="csr")
-    K = K + sp.diags_array(np.repeat([delta, -delta], [n, k]))
+    K = K0 + sp.diags_array(np.repeat([delta, -delta], [n, k]))
     qd = Q.diagonal()
     diag_only = np.diff(Q.indptr) == (qd != 0)
     single = np.flatnonzero(np.diff(G.indptr) == 1)

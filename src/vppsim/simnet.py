@@ -106,11 +106,11 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
     arrival tick of its trading transaction.  If an arrival would land
     after start_tick + cfg.timeout, raises RoundTimeout naming the first
     such agent in delivery order, before any agent solves, so the chain
-    is left as it was.  Otherwise delivers each agent its dual slice,
-    submits every trading transaction, and seals the block (which runs
-    the dual update) at the last arrival.  The transactions are
-    submitted as one batch: if the chain refuses one, TxRejected
-    propagates and the pool, the nonces and the tip stay as they were.
+    is left as it was.  Otherwise delivers each agent its dual slice and
+    seals every trading transaction into one block (which runs the dual
+    update) at the last arrival.  If the chain refuses the batch
+    (TxRejected) or cannot apply it (TxFailed), the error propagates and
+    the chain and the event log stay as they were.
     """
     state = chain.state()
     if state.round != k:
@@ -138,9 +138,11 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
     timeline = sorted(
         [(deliver[u], False, i, u) for i, u in enumerate(order)]
         + [(arrive[u], True, i, u) for i, u in enumerate(order)])
-    # the round is admitted whole or not at all, in arrival order
-    chain.submit_txs([txs[u] for _, arriving, _, u in timeline if arriving])
+    # the round is sealed whole or not at all, admitted in arrival order;
+    # its events are logged only once the block is
     tip = chain.tip()
+    block = chain.produce_block(
+        [txs[u] for _, arriving, _, u in timeline if arriving])
     for tick, arriving, _, u in timeline:
         if arriving:
             log.append(EventRecord(tick, "arrive", u, txs[u].txid))
@@ -148,7 +150,6 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
             log.append(EventRecord(tick, "deliver", u, tip))
             log.append(EventRecord(tick, "solve", u, txs[u].txid))
     end_tick = max(arrive.values(), default=start_tick)
-    block = chain.produce_block()
     log.append(EventRecord(end_tick, "block", block.proposer, block.digest))
     return RoundOutcome(block=block, end_tick=end_tick)
 
@@ -205,10 +206,9 @@ class ChainTransport:
                                   s.e_fit, s.e_dr, s.e_as))
             events.append(EventRecord(tick, "service", u, txs[-1].txid))
             last = max(last, tick)
-        # the services are admitted whole or not at all, like a round
-        self.chain.submit_txs(txs)
+        # the services are sealed whole or not at all, like a round
+        block = self.chain.produce_block(txs)
         self.events += events
-        block = self.chain.produce_block()
         self.events.append(EventRecord(last, "block", block.proposer,
                                        block.digest))
         transfers = self.chain.settle(schedules, tariff)

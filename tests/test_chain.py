@@ -281,6 +281,30 @@ def test_transaction_vectors_are_read_only_and_its_own():
     assert not service.payload["e_dr"].flags.writeable
 
 
+def test_payload_edits_raise_and_the_log_still_replays():
+    chain = small_chain()
+    tx = trading_tx("u", 0, {"v": [0.5, 0.0]})
+    ints = Transaction("u", 1, "trading",
+                       {"user": "u", "trades": {"v": [1, 0]}})
+    transfer = transfer_tx("v", 2, "u", 1.0)
+    for edit in (lambda: tx.payload["trades"].update(v=[9.0, 9.0]),
+                 lambda: tx.payload.update(user="v"),
+                 lambda: transfer.payload.update(amount=90.0),
+                 lambda: ints.payload["trades"]["v"].append(9)):
+        with pytest.raises((TypeError, AttributeError)):
+            edit()
+    with pytest.raises(ValueError):
+        tx.payload["trades"]["v"][0] = 9.0
+    chain.produce_block([tx, trading_tx("v", 0, {"u": [0.1, 0.0]})])
+    chain.produce_block([ints, trading_tx("v", 1, {"u": [0.2, 0.0]})])
+    chain.produce_block([transfer])
+    assert chain.state().balances["u"] == 101.0
+    assert replay(chain.records).root() == chain.state().root()
+    # a payload that is not a map is still refused by name
+    with pytest.raises(TxRejected, match="service payload is not an object"):
+        chain.produce_block([Transaction("u", 2, "service", ["e_fit"])])
+
+
 def test_tx_id_tracks_content():
     def transfer(amount):
         return Transaction("u", 0, "transfer",
@@ -304,7 +328,7 @@ def test_transaction_derives_its_own_id():
 
 
 # ---------------------------------------------------------------------------
-# mempool and block production
+# block production
 # ---------------------------------------------------------------------------
 
 def test_genesis_balances_and_log_shape():
@@ -324,12 +348,16 @@ def test_genesis_balances_and_log_shape():
 
 def test_nonces_start_at_zero_and_allow_gaps():
     chain = small_chain()
-    chain.submit_tx(transfer_tx("u", 0, "v", 1.0))
+    chain.produce_block([transfer_tx("u", 0, "v", 1.0)])
     with pytest.raises(TxRejected):
-        chain.submit_tx(transfer_tx("u", 0, "v", 1.0))
-    chain.submit_tx(transfer_tx("u", 5, "v", 1.0))
+        chain.produce_block([transfer_tx("u", 0, "v", 1.0)])
+    chain.produce_block([transfer_tx("u", 5, "v", 1.0)])
     with pytest.raises(TxRejected):
-        chain.submit_tx(transfer_tx("u", 3, "v", 1.0))
+        chain.produce_block([transfer_tx("u", 3, "v", 1.0)])
+    # within one batch too, a sender's nonces must rise in the given order
+    with pytest.raises(TxRejected):
+        chain.produce_block([transfer_tx("u", 7, "v", 1.0),
+                             transfer_tx("u", 6, "v", 1.0)])
     assert chain.next_nonce("u") == 6
     assert chain.next_nonce("v") == 0
 
@@ -337,9 +365,9 @@ def test_nonces_start_at_zero_and_allow_gaps():
 def test_unknown_sender_and_recipient_are_rejected():
     chain = small_chain()
     with pytest.raises(TxRejected):
-        chain.submit_tx(transfer_tx("ghost", 0, "v", 1.0))
+        chain.produce_block([transfer_tx("ghost", 0, "v", 1.0)])
     with pytest.raises(TxRejected):
-        chain.submit_tx(transfer_tx("u", 0, "ghost", 1.0))
+        chain.produce_block([transfer_tx("u", 0, "ghost", 1.0)])
 
 
 def test_only_the_scheduled_proposer_may_seal():
@@ -354,8 +382,7 @@ def test_only_the_scheduled_proposer_may_seal():
 
 def test_block_derives_its_own_digest():
     chain = small_chain()
-    chain.submit_tx(transfer_tx("u", 0, "v", 1.0))
-    block = chain.produce_block()
+    block = chain.produce_block([transfer_tx("u", 0, "v", 1.0)])
     fields = (block.height, block.parent, block.proposer, block.txs,
               block.state_root)
     assert Block(*fields).digest == block.digest
@@ -376,12 +403,10 @@ def test_empty_block_leaves_the_state_root_alone():
 def test_same_inputs_give_identical_chains():
     def build():
         chain = small_chain()
-        chain.submit_tx(transfer_tx("u", 0, "v", 2.5))
-        chain.submit_tx(transfer_tx("v", 0, "u", 1.0))
-        chain.produce_block()
-        chain.submit_tx(trading_tx("u", 1, {"v": [0.5, 0.0]}))
-        chain.submit_tx(trading_tx("v", 1, {"u": [0.1, 0.0]}))
-        chain.produce_block()
+        chain.produce_block([transfer_tx("u", 0, "v", 2.5),
+                             transfer_tx("v", 0, "u", 1.0)])
+        chain.produce_block([trading_tx("u", 1, {"v": [0.5, 0.0]}),
+                             trading_tx("v", 1, {"u": [0.1, 0.0]})])
         return chain
     a, b = build(), build()
     assert [blk.digest for blk in a.blocks] == [blk.digest for blk in b.blocks]
@@ -390,31 +415,51 @@ def test_same_inputs_give_identical_chains():
 
 def test_poison_batch_does_not_commit():
     chain = small_chain()
-    chain.submit_tx(trading_tx("u", 0, {"v": [0.5, 0.0]}))
-    chain.submit_tx(trading_tx("u", 1, {"v": [0.7, 0.0]}))
+    first = trading_tx("u", 0, {"v": [0.5, 0.0]})
     with pytest.raises(ContractError):
-        chain.produce_block()
+        chain.produce_block([first, trading_tx("u", 1, {"v": [0.7, 0.0]})])
     assert chain.height == 0
-    assert chain.state().round == 0
-    # the duplicate left the pool; the first submission seals
-    block = chain.produce_block()
+    assert chain.state().round == 0 and chain.next_nonce("u") == 0
+    # without the duplicate, the first submission seals
+    block = chain.produce_block([first])
     assert [(tx.sender, tx.nonce) for tx in block.txs] == [("u", 0)]
     assert chain.state().submitted == {"u"}
 
 
-def test_failed_transaction_leaves_the_pool():
+def _chain_marks(chain):
+    return (chain.height, chain.tip(), chain.state().root(),
+            [chain.next_nonce(a) for a in ("operator", "u", "v")])
+
+
+def test_overdrawing_batch_leaves_the_chain_as_it_was():
     chain = small_chain()
-    chain.submit_tx(transfer_tx("u", 0, "v", 500.0))
-    root = chain.state().root()
+    chain.produce_block([transfer_tx("v", 0, "u", 1.0)])
+    marks = _chain_marks(chain)
+    batch = [transfer_tx("operator", 0, "u", 2.0),
+             transfer_tx("v", 1, "u", 3.0),
+             transfer_tx("u", 1, "v", 500.0)]
     with pytest.raises(TxFailed) as err:
-        chain.produce_block()
-    assert (err.value.sender, err.value.nonce) == ("u", 0)
+        chain.produce_block(batch)
+    assert (err.value.sender, err.value.nonce) == ("u", 1)
     assert "overdraws" in str(err.value)
-    assert chain.height == 0 and chain.state().root() == root
-    chain.submit_tx(transfer_tx("v", 0, "u", 1.0))
-    block = chain.produce_block()
-    assert [(tx.sender, tx.nonce) for tx in block.txs] == [("v", 0)]
-    assert chain.state().balances["u"] == 101.0
+    assert _chain_marks(chain) == marks
+    # the batch without its overdraft seals, at the same nonces
+    block = chain.produce_block(batch[:2])
+    assert [(tx.sender, tx.nonce) for tx in block.txs] == \
+        [("operator", 0), ("v", 1)]
+    assert chain.state().balances["u"] == 106.0
+    assert [chain.next_nonce(a) for a in ("operator", "u", "v")] == [1, 0, 2]
+
+
+def test_rejection_names_the_sender_and_the_nonce():
+    chain = small_chain()
+    with pytest.raises(TxRejected) as err:
+        chain.produce_block([transfer_tx("u", 0, "v", 1.0),
+                             transfer_tx("v", 4, "ghost", 1.0)])
+    assert (err.value.sender, err.value.nonce) == ("v", 4)
+    assert str(err.value) == (
+        "transaction v:4 refused: unknown transfer recipient 'ghost'")
+    assert chain.height == 0 and chain.next_nonce("u") == 0
 
 
 @pytest.mark.parametrize("kind, payload, named", [
@@ -433,7 +478,7 @@ def test_failed_transaction_leaves_the_pool():
 def test_bad_payload_gets_a_named_rejection(kind, payload, named):
     chain = small_chain()
     with pytest.raises(TxRejected, match=named):
-        chain.submit_tx(Transaction("u", 0, kind, payload))
+        chain.produce_block([Transaction("u", 0, kind, payload)])
     assert chain.next_nonce("u") == 0
 
 
@@ -451,8 +496,8 @@ def test_malformed_transaction_shape_is_refused_by_name(sender, nonce, kind,
                                                         payload):
     chain = small_chain()
     with pytest.raises(TxRejected):
-        chain.submit_tx(Transaction(sender, nonce, kind, payload))
-    assert chain.next_nonce("u") == 0 and chain._pool == []
+        chain.produce_block([Transaction(sender, nonce, kind, payload)])
+    assert chain.next_nonce("u") == 0 and chain.height == 0
 
 
 def test_trading_payload_must_cover_exactly_the_peers():
@@ -462,10 +507,11 @@ def test_trading_payload_must_cover_exactly_the_peers():
     for trades in ({"b": z}, {"b": z, "c": z, "x": z}, {"a": z, "b": z},
                    {"a": z, "b": z, "c": z}):
         with pytest.raises(TxRejected, match="must cover exactly"):
-            chain.submit_tx(trading_tx("a", 0, trades))
+            chain.produce_block([trading_tx("a", 0, trades)])
     with pytest.raises(TxRejected):
-        chain.submit_tx(trading_tx("operator", 0, {"a": z, "b": z, "c": z}))
-    chain.submit_tx(trading_tx("a", 0, {"b": z, "c": z}))
+        chain.produce_block([trading_tx("operator", 0,
+                                        {"a": z, "b": z, "c": z})])
+    chain.produce_block([trading_tx("a", 0, {"b": z, "c": z})])
     assert chain.next_nonce("a") == 1
 
 
@@ -475,11 +521,10 @@ def test_trading_payload_must_cover_exactly_the_peers():
 
 def test_completed_round_runs_the_dual_update_on_chain():
     chain = small_chain(rho=1.0)
-    chain.submit_tx(trading_tx("u", 0, {"v": [0.5, 0.0]}))
+    chain.produce_block([trading_tx("u", 0, {"v": [0.5, 0.0]})])
     state = chain.state()
-    assert state.round == 0 and state.submitted == set()
-    chain.submit_tx(trading_tx("v", 0, {"u": [0.1, 0.0]}))
-    chain.produce_block()
+    assert state.round == 0 and state.submitted == {"u"}
+    chain.produce_block([trading_tx("v", 0, {"u": [0.1, 0.0]})])
     state = chain.state()
     assert state.round == 1
     assert state.submitted == set()
@@ -521,14 +566,12 @@ def test_fixed_history_has_a_pinned_state_root():
     users = ["a", "b", "c"]
     chain = Chain(users, ["a0"], 3, rho=1.5)
     for k in range(2):
-        for i, u in enumerate(users):
-            chain.submit_tx(trading_tx(u, k, {
-                v: [0.3 * (i - j) + 0.1 * k - 0.07 * t if t else 0.0
-                    for t in range(3)]
-                for j, v in enumerate(users) if v != u}))
-        chain.produce_block()
-    chain.submit_tx(transfer_tx("a", 2, "b", 12.5))
-    chain.produce_block()
+        chain.produce_block([trading_tx(u, k, {
+            v: [0.3 * (i - j) + 0.1 * k - 0.07 * t if t else 0.0
+                for t in range(3)]
+            for j, v in enumerate(users) if v != u})
+            for i, u in enumerate(users)])
+    chain.produce_block([transfer_tx("a", 2, "b", 12.5)])
     assert chain.state().round == 2
     assert chain.blocks[-1].state_root == (
         "495ce4451c6be7f1db164f5f61ed7788213308ba984681902935e6249f664f76")
@@ -549,14 +592,12 @@ def _scripted_ledger():
     chain = Chain(users, ["a0", "a1", "a2"], H, rho=0.8)
     rng = np.random.default_rng(2024)
     for k in range(4):
-        for u in users:
-            chain.submit_tx(trading_tx(u, k, {
-                v: rng.normal(0.0, 0.4, H) for v in users if v != u}))
-        chain.produce_block()
-    for u in users:
-        chain.submit_tx(service_tx(u, 4, rng.uniform(0.0, 1.0, H),
-                                   rng.uniform(0.0, 0.5, H), np.zeros(H)))
-    chain.produce_block()
+        chain.produce_block([trading_tx(u, k, {
+            v: rng.normal(0.0, 0.4, H) for v in users if v != u})
+            for u in users])
+    chain.produce_block([service_tx(u, 4, rng.uniform(0.0, 1.0, H),
+                                    rng.uniform(0.0, 0.5, H), np.zeros(H))
+                         for u in users])
     trades = chain.state().trades
     schedules = {u: zero_schedule(H, e_fit=rng.uniform(0.0, 1.0, H),
                                   trades={v: trades[i, j]
@@ -586,13 +627,11 @@ def test_scripted_ledger_has_a_pinned_tip_and_log(tmp_path):
 def test_committed_state_is_read_only_and_keeps_its_root():
     chain = small_chain()
     genesis = chain.state()
-    chain.submit_tx(trading_tx("u", 0, {"v": [0.5, 0.0]}))
-    chain.submit_tx(trading_tx("v", 0, {"u": [0.1, 0.0]}))
-    chain.produce_block()
+    chain.produce_block([trading_tx("u", 0, {"v": [0.5, 0.0]}),
+                         trading_tx("v", 0, {"u": [0.1, 0.0]})])
     first = chain.state()
-    chain.submit_tx(trading_tx("u", 1, {"v": [0.2, 0.0]}))
-    chain.submit_tx(trading_tx("v", 1, {"u": [0.3, 0.0]}))
-    chain.produce_block()
+    chain.produce_block([trading_tx("u", 1, {"v": [0.2, 0.0]}),
+                         trading_tx("v", 1, {"u": [0.3, 0.0]})])
     chain.settle({u: zero_schedule(2, e_fit=[1.0, 0.0]) for u in "uv"},
                  toy_tariff(2, pi_fit=0.1))
     # states taken at earlier heights are the ones those blocks committed
@@ -613,9 +652,9 @@ def test_committed_state_is_read_only_and_keeps_its_root():
 
 def test_committed_accounts_services_and_submissions_are_read_only():
     chain = small_chain()
-    chain.submit_tx(service_tx("u", 0, [1.0, 0.0], [0.0, 0.0], [0.0, 2.0]))
-    chain.submit_tx(trading_tx("v", 0, {"u": [0.1, 0.0]}))
-    chain.produce_block()
+    chain.produce_block([
+        service_tx("u", 0, [1.0, 0.0], [0.0, 0.0], [0.0, 2.0]),
+        trading_tx("v", 0, {"u": [0.1, 0.0]})])
     state = chain.state()
     root = chain.blocks[-1].state_root
     with pytest.raises(TypeError):
@@ -630,8 +669,7 @@ def test_committed_accounts_services_and_submissions_are_read_only():
         state.submitted.add("u")
     assert state.root() == root
     # u's balance is intact, so the next block takes its 1-token transfer
-    chain.submit_tx(transfer_tx("u", 1, "v", 1.0))
-    chain.produce_block()
+    chain.produce_block([transfer_tx("u", 1, "v", 1.0)])
     assert chain.state().balances["u"] == 99.0
     # a copy is writable all through and leaves the committed state alone
     edit = state.copy()
@@ -746,8 +784,8 @@ def test_incomplete_round_cannot_advance():
 
 def test_service_vectors_are_stored():
     chain = small_chain()
-    chain.submit_tx(service_tx("u", 0, [1.0, 0.0], [0.0, 0.0], [0.0, 2.0]))
-    chain.produce_block()
+    chain.produce_block([service_tx("u", 0, [1.0, 0.0], [0.0, 0.0],
+                                    [0.0, 2.0])])
     state = chain.state()
     np.testing.assert_array_equal(state.services["u"]["e_fit"], [1.0, 0.0])
     np.testing.assert_array_equal(state.services["u"]["e_as"], [0.0, 2.0])
@@ -799,15 +837,14 @@ def test_unpayable_settlement_aborts_atomically():
         "u": zero_schedule(2, trades={"v": np.array([300.0, 0.0])}),
         "v": zero_schedule(2, trades={"u": np.array([-300.0, 0.0])}),
     }
-    before = chain.state().balances
-    with pytest.raises(SettlementError):
+    marks = _chain_marks(chain)
+    with pytest.raises(SettlementError, match=r"^transfer of 180\.0 "
+                       "overdraws account 'u'; settlement aborted$"):
         chain.settle(schedules, tariff)
-    assert chain.height == 0
-    assert chain.state().balances == before
-    assert list(chain.produce_block().txs) == []
+    assert _chain_marks(chain) == marks
 
 
-def test_settlement_refused_at_submission_pools_nothing():
+def test_refused_settlement_changes_nothing():
     chain = small_chain()
     tariff = toy_tariff(2, pi_fit=0.25)
     # the operator's payment to u is fine; the one to a stranger is refused
@@ -815,8 +852,23 @@ def test_settlement_refused_at_submission_pools_nothing():
                  "zz": zero_schedule(2, e_fit=[1.0, 0.0])}
     with pytest.raises(TxRejected, match="unknown transfer recipient"):
         chain.settle(schedules, tariff)
-    assert chain._pool == [] and chain.next_nonce("operator") == 0
+    assert chain.next_nonce("operator") == 0
     assert chain.height == 0
+
+
+def test_settlement_with_a_stranger_and_an_overdraft_is_refused_whole():
+    # admission comes first: the stranger's payment is refused before
+    # the overdraft could fail, and nothing changes
+    chain = small_chain()
+    marks = _chain_marks(chain)
+    tariff = toy_tariff(2, pi_p2p=0.6, pi_fit=0.25)
+    schedules = {
+        "u": zero_schedule(2, trades={"v": np.array([300.0, 0.0])}),
+        "v": zero_schedule(2, trades={"u": np.array([-300.0, 0.0])}),
+        "zz": zero_schedule(2, e_fit=[1.0, 0.0])}
+    with pytest.raises(TxRejected, match="unknown transfer recipient"):
+        chain.settle(schedules, tariff)
+    assert _chain_marks(chain) == marks
 
 
 def test_all_zero_schedules_settle_to_nothing():
@@ -836,13 +888,13 @@ def test_all_zero_schedules_settle_to_nothing():
 def test_tokens_are_conserved_by_any_transfer_batch(moves):
     chain = small_chain()
     total0 = sum(chain.state().balances.values())
-    nonces = {}
+    nonces, txs = {}, []
     for src, dst, amount in moves:
         nonce = nonces.get(src, -1) + 1
         nonces[src] = nonce
-        chain.submit_tx(transfer_tx(src, nonce, dst, amount))
+        txs.append(transfer_tx(src, nonce, dst, amount))
     try:
-        chain.produce_block()
+        chain.produce_block(txs)
     except ChainError:
         return  # overdraw aborts the batch; nothing committed
     assert sum(chain.state().balances.values()) == pytest.approx(
@@ -854,11 +906,9 @@ def test_tokens_are_conserved_by_any_transfer_batch(moves):
 # ---------------------------------------------------------------------------
 
 def run_small_session(chain):
-    chain.submit_tx(trading_tx("u", 0, {"v": [0.5, 0.0]}))
-    chain.submit_tx(trading_tx("v", 0, {"u": [0.1, 0.0]}))
-    chain.produce_block()
-    chain.submit_tx(transfer_tx("u", 1, "v", 3.0))
-    chain.produce_block()
+    chain.produce_block([trading_tx("u", 0, {"v": [0.5, 0.0]}),
+                         trading_tx("v", 0, {"u": [0.1, 0.0]})])
+    chain.produce_block([transfer_tx("u", 1, "v", 3.0)])
 
 
 def test_replay_reproduces_the_live_root(tmp_path):
@@ -1058,15 +1108,15 @@ def test_transaction_that_cannot_apply_is_corruption_at_its_height():
 ], ids=["repeated-nonce", "extra-payload-key", "spends-another-account"])
 def test_block_no_chain_writes_is_corruption_at_its_height(tx):
     chain = small_chain()
-    chain.submit_tx(trading_tx("u", 0, {"v": [0.5, 0.0]}))
-    chain.submit_tx(trading_tx("v", 0, {"u": [0.1, 0.0]}))
+    chain.produce_block([trading_tx("u", 0, {"v": [0.5, 0.0]}),
+                         trading_tx("v", 0, {"u": [0.1, 0.0]})])
     chain.produce_block()
-    # sealed past submit_tx, as a chain that skipped its checks would
-    chain._pool.append(tx)
-    chain.produce_block()
+    # logged past admission, as a chain that skipped its checks would
+    records = chain.records
+    records[2]["txs"].append(tx.to_record())
     with pytest.raises(CorruptionError, match=f"{tx.sender}:{tx.nonce} "
                        "refused") as err:
-        replay(chain.records)
+        replay(records)
     assert err.value.height == 1
 
 

@@ -109,7 +109,7 @@ def test_missing_pair_is_a_protocol_error():
     # a trade map without one of the sender's peers never enters a round
     chain = Chain(["u", "v", "w"], ["a0"], 1)
     with pytest.raises(TxRejected, match="must cover exactly"):
-        chain.submit_tx(trading_tx("u", 0, {"v": [0.0]}))
+        chain.produce_block([trading_tx("u", 0, {"v": [0.0]})])
     # and a round with a household's trades missing cannot be updated
     contract = ContractState(["u", "v"], 1, 1.0, {})
     contract.set_trading("u", {"v": np.zeros(1)})

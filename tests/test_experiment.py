@@ -174,3 +174,22 @@ def test_the_co3_day_has_a_pinned_tip():
     assert tip == ("a5436f04363bb809f6f742e2c40fc69f"
                    "b8fb3003aaac153916c106a9aff0b61a")
     assert int(rounds) == 58
+
+
+# a 2-household, 2-day verify-oracle run: day 1 starts from the battery
+# levels day 0 of the trading run ended on
+VERIFY_ORACLE = """
+import sys
+from vppsim.cli import main
+main(["gen-data", "--out", sys.argv[1], "--users", "2", "--days", "2",
+      "--seed", "3", "--complementary"])
+main(["verify-oracle", "--scenario", sys.argv[1], "--out", sys.argv[2]])
+"""
+
+
+def test_a_verify_oracle_report_has_pinned_bytes(tmp_path):
+    _run_pinned(VERIFY_ORACLE, str(tmp_path / "scenario"),
+                str(tmp_path / "out"))
+    report = (tmp_path / "out" / "oracle.txt").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == (
+        "7efeb249bbabe82ccb61c704a46eb7df7261273277cf5df96665c90d976f019f")

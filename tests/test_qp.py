@@ -527,6 +527,13 @@ def _dense_kkt(solver, rows, delta):
     return K + np.diag(np.repeat([delta, -delta], [n, k]))
 
 
+def _kkt_solver(Q, G, delta=1e-9):
+    """`qp._kkt_solver` on the unregularized KKT matrix that
+    `_solve_active` assembles."""
+    K0 = sp.block_array([[Q, G.T], [G, None]], format="csr")
+    return qp._kkt_solver(K0, Q, G, delta)
+
+
 def _full_kkt_reference(solver, rows, at_lo):
     # the whole regularized KKT matrix factored dense, with the same three
     # refinement rounds against the unregularized one, keeping the first
@@ -596,7 +603,7 @@ def test_pinned_pair_elimination_matches_the_full_kkt_solve(
     np.testing.assert_allclose(cand.y[rows], y, rtol=0, atol=1e-10 * scale)
     # one unrefined solve with the eliminated factorization
     r = np.random.default_rng(1).normal(size=prob.n + rows.size)
-    v = qp._kkt_solver(prob.quad, solver.M[rows], 1e-9)(r)
+    v = _kkt_solver(prob.quad, solver.M[rows])(r)
     ref = np.linalg.solve(_dense_kkt(solver, rows, 1e-9), r)
     np.testing.assert_allclose(v, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
 
@@ -624,7 +631,7 @@ def test_a_second_one_variable_row_stays_in_the_factored_system(monkeypatch):
     assert abs(dy[3]) <= 1e-6 * scale
     # the unrefined solve is backward stable all the same
     r = np.random.default_rng(1).normal(size=16)
-    v = qp._kkt_solver(solver.problem.quad, solver.M, 1e-9)(r)
+    v = _kkt_solver(solver.problem.quad, solver.M)(r)
     K = _dense_kkt(solver, rows, 1e-9)
     assert np.abs(K @ v - r).max() <= 1e-14 * np.abs(K).max() * np.abs(v).max()
 

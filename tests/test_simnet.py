@@ -7,7 +7,8 @@ import pytest
 from conftest import surplus_pair, toy_tariff
 
 from vppsim.agent import AgentRuntime, resolve_trade_cap
-from vppsim.chain import Chain, ContractState, TxRejected
+from vppsim.chain import (Chain, ContractState, TxFailed, TxRejected,
+                          trading_tx)
 from vppsim.coordinator import AlgoConfig, convergence, run_decentralized
 from vppsim.experiment import run_co
 from vppsim.model import Schedule
@@ -157,6 +158,22 @@ def test_timed_out_round_leaves_the_chain_as_it_found_it():
     assert state.round == 1 and state.submitted == set()
 
 
+def test_round_that_fails_to_apply_logs_no_event():
+    ids = ["u1", "u2"]
+    agents = scripted_agents(ids)
+    chain = Chain(ids, ["a0"], 4)
+    # u1 has already sent its round-0 trades, in a block of their own
+    chain.produce_block([trading_tx("u1", 0, {"u2": np.zeros(4)})])
+    marks = (chain.height, chain.tip(), [chain.next_nonce(u) for u in ids])
+    events = []
+    with pytest.raises(TxFailed, match="u1 already submitted"):
+        run_round(0, agents, chain, NetConfig(latency=1, timeout=10),
+                  np.random.default_rng(0), events=events)
+    assert events == []
+    assert (chain.height, chain.tip(),
+            [chain.next_nonce(u) for u in ids]) == marks
+
+
 class ShortAgent(ScriptedAgent):
     """Answers with vectors one slot short of the chain's horizon."""
 
@@ -164,7 +181,7 @@ class ShortAgent(ScriptedAgent):
         return {v: vec[:-1] for v, vec in super().solve_round(dual).items()}
 
 
-def test_refused_round_leaves_the_pool_and_nonces_as_they_were():
+def test_refused_round_leaves_the_chain_and_nonces_as_they_were():
     ids = ["u1", "u2", "u3"]
     agents = scripted_agents(ids)
     agents["u3"] = ShortAgent(["u1", "u2"], 2)
@@ -175,7 +192,7 @@ def test_refused_round_leaves_the_pool_and_nonces_as_they_were():
     with pytest.raises(TxRejected, match="must hold 4 numbers"):
         run_round(0, agents, chain, NetConfig(latency=1, timeout=10),
                   np.random.default_rng(0), events=events)
-    assert chain._pool == [] and events == []
+    assert events == []
     assert [chain.next_nonce(u) for u in ids] == [0, 0, 0]
     assert chain.height == 0 and chain.tip() == tip
     # the retried round seals this round's trades only, one per agent
@@ -296,7 +313,7 @@ def test_finalize_records_services_then_settles(tmp_path):
     assert all(len(ln.split("\t")) == 4 for ln in lines[1:])
 
 
-def test_refused_service_leaves_the_pool_and_events_as_they_were():
+def test_refused_service_leaves_the_chain_and_events_as_they_were():
     transport = ChainTransport(surplus_pair(2), toy_tariff(2, pi_fit=0.1),
                                AlgoConfig())
     z2, z3 = np.zeros(2), np.zeros(3)
@@ -306,7 +323,7 @@ def test_refused_service_leaves_the_pool_and_events_as_they_were():
                  for u, z in (("ua", z2), ("ub", z3))}
     with pytest.raises(TxRejected, match="service vector e_fit"):
         transport.finalize(schedules, toy_tariff(2, pi_fit=0.1))
-    assert transport.chain._pool == [] and transport.events == []
+    assert transport.events == []
     assert transport.chain.next_nonce("ua") == 0
     assert transport.chain.height == 0
 
