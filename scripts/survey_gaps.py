@@ -8,6 +8,7 @@ This is the quickest way to see how tightly the decentralized loop
 tracks the social optimum across problem instances.
 
     python3 scripts/survey_gaps.py --seeds 20 --users 3 --out survey.tsv
+    python3 scripts/survey_gaps.py --seeds 20 --users 3 --complementary
 """
 
 import argparse
@@ -18,15 +19,19 @@ from vppsim.experiment import centralized_day, run_co, run_sa
 from vppsim.scenario_io import gen_synthetic
 
 
-def survey_one(seed: int, users: int, slots: int) -> dict:
-    sc = gen_synthetic(seed=seed, users=users, slots=slots)
+def survey_one(seed: int, users: int, slots: int,
+               complementary: bool = False) -> dict:
+    sc = gen_synthetic(seed=seed, users=users, slots=slots,
+                       complementary=complementary)
     t0 = time.perf_counter()
     co = run_co(sc, settle=False)
     t_co = time.perf_counter() - t0
     t0 = time.perf_counter()
     sa = run_sa(sc)
     t_sa = time.perf_counter() - t0
+    t0 = time.perf_counter()
     oracle, _ = centralized_day(sc, 0)
+    t_oracle = time.perf_counter() - t0
     co_total = sum(co.costs.values())
     sa_total = sum(sa.costs.values())
     return {
@@ -41,18 +46,19 @@ def survey_one(seed: int, users: int, slots: int) -> dict:
                        if sa_total else 0.0),
         "t_co": t_co,
         "t_sa": t_sa,
+        "t_oracle": t_oracle,
     }
 
 
 COLUMNS = ["seed", "users", "iters", "sa", "co", "oracle", "gap",
-           "saving_pct", "t_co", "t_sa"]
+           "saving_pct", "t_co", "t_sa", "t_oracle"]
 
 
 def fmt(rec: dict) -> str:
     return (f"{rec['seed']:4d} {rec['users']:5d} {rec['iters']:5d} "
             f"{rec['sa']:10.4f} {rec['co']:10.4f} {rec['oracle']:10.4f} "
             f"{rec['gap']:9.2e} {rec['saving_pct']:8.2f} "
-            f"{rec['t_co']:6.2f} {rec['t_sa']:6.2f}")
+            f"{rec['t_co']:6.2f} {rec['t_sa']:6.2f} {rec['t_oracle']:8.2f}")
 
 
 def main(argv=None) -> int:
@@ -61,14 +67,17 @@ def main(argv=None) -> int:
                     help="number of random scenarios (seeds 0..N-1)")
     ap.add_argument("--users", type=int, default=3)
     ap.add_argument("--slots", type=int, default=24)
+    ap.add_argument("--complementary", action="store_true",
+                    help="sharpen the producer/consumer split, as "
+                         "gen-data --complementary does")
     ap.add_argument("--out", default=None, help="optional TSV path")
     args = ap.parse_args(argv)
 
     print("seed users iters         sa         co     oracle       gap"
-          "   saving%   t_co   t_sa")
+          "   saving%   t_co   t_sa t_oracle")
     records = []
     for seed in range(args.seeds):
-        rec = survey_one(seed, args.users, args.slots)
+        rec = survey_one(seed, args.users, args.slots, args.complementary)
         records.append(rec)
         print(fmt(rec))
 

@@ -16,7 +16,10 @@ so the schedule and cost it reports rest on a tight solve.
 
 Variable layout per household, in order: g, r, l_ac, l_fl, c, d, e_fit,
 e_dr, e_as (each one slot-vector), the scalar peak epigraph variable,
-then one trade vector per peer in sorted peer-id order.
+then, in the trading subproblem, one trade vector per peer in sorted
+peer-id order.  The centralized problem gives each household its own
+block without trade vectors and each household pair one shared trade
+vector, which the lower id reads as it is and the higher id negated.
 """
 
 from __future__ import annotations
@@ -202,12 +205,17 @@ def _check_buildable(p: UserProfile, T0):
 
 
 def _user_block(p: UserProfile, tariff: Tariff, lay: Layout,
-                quad: _Quad, lin, rows: _Rows, trade_cap: float | None):
+                quad: _Quad, lin, rows: _Rows, trade_cap: float | None,
+                trades: dict | None = None):
     """Write one household's objective and constraints into the accumulators.
 
+    `trades` maps each peer to the slice and the sign of the household's
+    trade vector toward it; None means the layout's own trade vectors.
     Returns the objective constant contributed by this household.
     """
     H = p.horizon
+    if trades is None:
+        trades = {v: (lay.trade(v), 1.0) for v in lay.peers}
     if tariff.pi_dr.size != H:
         raise DimensionError(
             f"tariff series length {tariff.pi_dr.size} != horizon {H}")
@@ -246,9 +254,9 @@ def _user_block(p: UserProfile, tariff: Tariff, lay: Layout,
         cols = [idx["l_ac"][t], idx["l_fl"][t], idx["c"][t], idx["e_dr"][t],
                 idx["r"][t], idx["g"][t], idx["d"][t]]
         vals = [1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0]
-        for v in lay.peers:
-            cols.append(lay.trade(v).start + t)
-            vals.append(-1.0)
+        for sl, sign in trades.values():
+            cols.append(sl.start + t)
+            vals.append(-sign)
         rows.add(cols, vals, -p.exo.inflexible[t], -p.exo.inflexible[t])
     # flexible demand must be met over the horizon
     rows.add(idx["l_fl"], np.ones(H), p.flex.total, p.flex.total)
@@ -378,14 +386,26 @@ def resolve_trade_cap(trade_cap: float | None, profiles) -> float:
 
 def build_centralized(profiles, tariff: Tariff,
                       trade_cap: float | None = None):
-    """All households in one QP with pairwise trade consistency rows.
+    """All households in one QP, one trade vector per household pair.
 
-    Used as the verification oracle for the decentralized loop.  The trade
-    cap defaults to the largest fuse limit among the participants.
+    Used as the verification oracle for the decentralized loop.  Each
+    unordered pair {u, v}, u < v, shares one vector p: household u's
+    trade toward v is p and household v's is -p, so trade consistency
+    holds by construction.  The pairwise form's consistency rows
+    p_uv + p_vu = 0 are eliminated by substitution (Andersen and
+    Andersen, Math. Prog. 1995), and with them the second trade box of
+    each pair (-p has the same box as p) and the trade payments, which
+    cancel within a pair.  The trade cap defaults to the largest fuse
+    limit among the participants.
+
+    Variables: every household's own block (Layout without peers) in
+    user-id order, then the pair vectors in (u, v) order.
 
     Returns
     -------
-    (QpProblem, dict user_id -> Layout)
+    (QpProblem, dict user_id -> (Layout, trades)), where trades maps
+    each peer to the slice and the sign of the pair vector that holds
+    the household's trade toward it; `decode_all` reads it.
     """
     profiles = sorted(profiles, key=lambda p: p.user_id)
     ids = [p.user_id for p in profiles]
@@ -399,44 +419,46 @@ def build_centralized(profiles, tariff: Tariff,
             raise DimensionError("households disagree on horizon length")
     trade_cap = resolve_trade_cap(trade_cap, profiles)
 
-    layouts = {}
-    offset = 0
-    for p in profiles:
-        peers = tuple(v for v in ids if v != p.user_id)
-        layouts[p.user_id] = Layout(horizon=H, peers=peers, offset=offset)
-        offset += layouts[p.user_id].n
-    n = offset
+    own = Layout(horizon=H).n
+    layouts = {u: Layout(horizon=H, offset=i * own)
+               for i, u in enumerate(ids)}
+    trades = {u: {} for u in ids}
+    first = n = own * len(ids)
+    for i, u in enumerate(ids):
+        for v in ids[i + 1:]:
+            sl = slice(n, n + H)
+            trades[u][v], trades[v][u] = (sl, 1.0), (sl, -1.0)
+            n += H
     quad = _Quad(n)
     lin = np.zeros(n)
     rows = _Rows(n)
     const = 0.0
     for p in profiles:
-        lay = layouts[p.user_id]
-        const += _user_block(p, tariff, lay, quad, lin, rows, trade_cap)
-        for v in lay.peers:
-            sl = lay.trade(v)
-            lin[sl] += tariff.pi_p2p
-    # trade consistency: p_uv + p_vu = 0 for every unordered pair
-    for i, u in enumerate(ids):
-        for v in ids[i + 1:]:
-            su = layouts[u].trade(v)
-            sv = layouts[v].trade(u)
-            for t in range(H):
-                rows.add([su.start + t, sv.start + t], [1.0, 1.0], 0.0, 0.0)
+        u = p.user_id
+        const += _user_block(p, tariff, layouts[u], quad, lin, rows, None,
+                             trades[u])
+    # one trade box per pair and slot
+    for j in range(first, n):
+        rows.add([j], [1.0], -trade_cap, trade_cap)
     prob = QpProblem(n=n, quad=quad.build(), lin=lin, rows=rows.build(),
                      const=const)
-    return prob, layouts
+    return prob, {u: (layouts[u], trades[u]) for u in ids}
 
 
 # ---------------------------------------------------------------------------
 # decoding
 # ---------------------------------------------------------------------------
 
-def decode(sol: QpSolution, lay: Layout) -> Schedule:
+def decode(sol: QpSolution, lay: Layout, trades: dict | None = None
+           ) -> Schedule:
     """Turn a solved vector back into a Schedule.
 
-    Magnitudes below 1e-10 are clamped to exact zeros.  Raises DecodeError
-    unless the solution status is optimal.
+    `trades` maps each peer to the slice and the sign of the vector that
+    holds the household's trade toward it, as `build_centralized` gives
+    them; None reads the layout's own trade vectors.  Magnitudes below
+    1e-10 are clamped to exact zeros, after the sign, so no decoded
+    vector holds a -0.0.  Raises DecodeError unless the solution status
+    is optimal.
     """
     if sol.status != OPTIMAL:
         raise DecodeError(f"cannot decode solution with status {sol.status}")
@@ -453,13 +475,17 @@ def decode(sol: QpSolution, lay: Layout) -> Schedule:
     peak = float(x[lay.peak])
     if abs(peak) < ZERO_CLAMP:
         peak = 0.0
-    trades = {v: clamp(x[lay.trade(v)]) for v in lay.peers}
-    return Schedule(peak=peak, trades=trades, **kw)
+    if trades is None:
+        trades = {v: (lay.trade(v), 1.0) for v in lay.peers}
+    return Schedule(peak=peak, trades={
+        v: clamp(sign * x[sl]) for v, (sl, sign) in trades.items()}, **kw)
 
 
 def decode_all(sol: QpSolution, layouts: dict) -> dict:
-    """Decode a centralized solution into per-household schedules."""
-    return {u: decode(sol, lay) for u, lay in layouts.items()}
+    """Decode a centralized solution into per-household schedules, each
+    with its signed trade vectors."""
+    return {u: decode(sol, lay, trades)
+            for u, (lay, trades) in layouts.items()}
 
 
 # ---------------------------------------------------------------------------

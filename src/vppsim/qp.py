@@ -46,7 +46,11 @@ step solves the KKT system of the detected active set to push
 residuals to machine precision, as OSQP's polish does (section 4).  The
 system is assembled from the sparse blocks; the variables that an
 active row pins alone are eliminated exactly with their rows, and only
-the rest is factored dense.
+the rest is factored dense.  The active set is corrected over a few
+re-solves: each drops the rows whose multiplier comes back with the
+wrong sign and adds, on the violated side, the rows outside the set that
+the candidate violates (on the centralized oracles a first guess from
+the iterate misses a few rows that bind at the optimum).
 
 Everything is deterministic at a fixed BLAS thread count: identical
 inputs and settings produce identical iterates, iteration counts, and
@@ -524,9 +528,11 @@ class QpSolver:
                 require: float | None = None):
         """Sharpen the solution by solving the detected active set exactly.
 
-        Rows whose multiplier comes back with the wrong sign are dropped
-        and the KKT system re-solved, a few times if needed; the polished
-        point is accepted only if it does not degrade the residuals.
+        Rows whose multiplier comes back with the wrong sign are dropped,
+        non-equality rows the candidate violates by more than a TOL-scaled
+        margin are added on the violated side, and the KKT system is
+        re-solved, up to six solves in all; the polished point is accepted
+        only if it does not degrade the residuals.
         With `require` set, acceptance instead demands a KKT residual at
         or below that threshold and upgrades the status, which lets an
         iteration that ran out of budget still return a certified answer.
@@ -548,10 +554,19 @@ class QpSolver:
             free = ~self.eq_mask[rows]
             wrong |= free & at_lo & (y_c[rows] > sign_tol)
             wrong |= free & ~at_lo & (y_c[rows] < -sign_tol)
-            if not np.any(wrong):
+            # the rows outside the set that the candidate violates
+            Ax = self._A(cand.x)
+            margin = TOL * max(1.0, _norm(Ax))
+            under = Ax < self.l - margin
+            outside = np.ones(self.m, dtype=bool)
+            outside[rows] = False
+            added = np.flatnonzero(outside & (under | (Ax > self.u + margin)))
+            if not (np.any(wrong) or added.size):
                 break
-            keep = ~wrong
-            rows, at_lo = rows[keep], at_lo[keep]
+            rows = np.concatenate([rows[~wrong], added])
+            at_lo = np.concatenate([at_lo[~wrong], under[added]])
+            order = np.argsort(rows)
+            rows, at_lo = rows[order], at_lo[order]
         limit = _kkt_max(self.problem, sol, q) if require is None else require
         if best is not None and np.isfinite(best_res) and best_res <= limit:
             sol.x = best.x

@@ -10,7 +10,9 @@ update.  The coordination state lives only in the chain's committed
 storage, which is never written, so rounds read it by reference, and
 the transport hands the trading loop that state itself.
 Every tick of a round is drawn before any agent solves, so a round that
-would time out leaves the chain as it found it.  A fixed seed fixes
+would time out leaves the chain as it found it; the draws advance the
+latency stream only once the round's block is sealed, so a retried
+round repeats the ticks of a fault-free one.  A fixed seed fixes
 every latency draw, so at a fixed BLAS thread count (see qp.py) the
 full tick-by-tick event log is reproducible; arrival order never
 matters because the update only runs on the complete trade map.
@@ -110,7 +112,10 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
     seals every trading transaction into one block (which runs the dual
     update) at the last arrival.  If the chain refuses the batch
     (TxRejected) or cannot apply it (TxFailed), the error propagates and
-    the chain and the event log stay as they were.
+    the chain and the event log stay as they were.  rng is rewound
+    after the draws and moved past them only once the block is sealed,
+    so a round that times out or fails leaves rng as it was too, and a
+    retry draws the same ticks.
     """
     state = chain.state()
     if state.round != k:
@@ -121,10 +126,13 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
     deadline = start_tick + cfg.timeout
     # Two draws per agent in sorted-agent order: the delay down to it and
     # the delay of its transaction back.
+    before = rng.bit_generator.state
     deliver, arrive = {}, {}
     for u in state.users:
         deliver[u] = start_tick + _draw(rng, cfg.latency)
         arrive[u] = deliver[u] + _draw(rng, cfg.latency)
+    drawn = rng.bit_generator.state
+    rng.bit_generator.state = before
     order = sorted(state.users, key=deliver.get)
     late = [u for u in order if arrive[u] > deadline]
     if late:
@@ -143,6 +151,7 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
     tip = chain.tip()
     block = chain.produce_block(
         [txs[u] for _, arriving, _, u in timeline if arriving])
+    rng.bit_generator.state = drawn
     for tick, arriving, _, u in timeline:
         if arriving:
             log.append(EventRecord(tick, "arrive", u, txs[u].txid))
@@ -196,9 +205,14 @@ class ChainTransport:
     # -- post-convergence -------------------------------------------------
 
     def finalize(self, schedules: dict, tariff: Tariff) -> list:
-        """Record service commitments on chain, then settle in tokens."""
+        """Record service commitments on chain, then settle in tokens.
+
+        Like a round's, the service ticks move the transport's rng past
+        their draws only once their block is sealed.
+        """
         last = self.tick
         txs, events = [], []
+        before = self.rng.bit_generator.state
         for u in sorted(schedules):
             s = schedules[u]
             tick = self.tick + _draw(self.rng, self.net.latency)
@@ -206,8 +220,11 @@ class ChainTransport:
                                   s.e_fit, s.e_dr, s.e_as))
             events.append(EventRecord(tick, "service", u, txs[-1].txid))
             last = max(last, tick)
+        drawn = self.rng.bit_generator.state
+        self.rng.bit_generator.state = before
         # the services are sealed whole or not at all, like a round
         block = self.chain.produce_block(txs)
+        self.rng.bit_generator.state = drawn
         self.events += events
         self.events.append(EventRecord(last, "block", block.proposer,
                                        block.digest))

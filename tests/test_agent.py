@@ -189,6 +189,61 @@ def test_cooperation_never_costs_more_than_standing_alone():
         assert co_total <= sa_total + 1e-6 * max(1.0, abs(sa_total))
 
 
+def _three_households(H=3):
+    a, b = surplus_pair(H)
+    return [a, b, toy_profile("uc", H, renewable=0.5, inflexible=0.5)]
+
+
+def test_centralized_build_has_one_trade_vector_per_pair():
+    H, N, cap = 3, 3, 4.0
+    prob, lays = build_centralized(_three_households(H), toy_tariff(H),
+                                   trade_cap=cap)
+    own = Layout(horizon=H).n
+    assert prob.n == N * (9 * H + 1) + H * N * (N - 1) // 2
+    pair_cols = np.arange(N * own, prob.n)
+    assert {sl.start for _, trades in lays.values()
+            for sl, _ in trades.values()} == set(pair_cols[::H])
+    A, lo, hi = prob.rows
+    counts = np.diff(A.indptr)
+    # no pair-consistency row p_uv + p_vu = 0 is left
+    pairs = [i for i in np.flatnonzero(counts == 2)
+             if np.all(A.data[A.indptr[i]:A.indptr[i + 1]] == 1.0)
+             and lo[i] == hi[i] == 0.0]
+    assert pairs == []
+    # exactly one trade-box row per pair and slot
+    single = np.flatnonzero(counts == 1)
+    boxed = A.indices[A.indptr[single]]
+    on_pairs = single[boxed >= N * own]
+    assert sorted(boxed[boxed >= N * own]) == list(pair_cols)
+    assert np.all(lo[on_pairs] == -cap) and np.all(hi[on_pairs] == cap)
+    # the trade payments cancel within a pair, so none is left
+    assert np.all(prob.lin[pair_cols] == 0.0)
+
+
+def test_decoded_pair_trades_are_exact_negatives_without_negative_zeros():
+    prob, lays = build_centralized(_three_households(), toy_tariff(3))
+    solved = QpSolver(prob).solve()
+    # the solve's own vector, then one whose pair entries are signed zeros
+    # and solver dust on both sides of the clamp
+    x = solved.x.copy()
+    first = min(sl.start for _, trades in lays.values()
+                for sl, _ in trades.values())
+    x[first:] = np.resize([0.0, -0.0, 1e-12, -1e-12, 0.25, -1.5],
+                          prob.n - first)
+    dusty = qp.QpSolution(x=x, y=solved.y, status=qp.OPTIMAL,
+                          iterations=0, residuals={})
+    for sol in (solved, dusty):
+        scheds = decode_all(sol, lays)
+        for u, s in scheds.items():
+            for v, vec in s.trades.items():
+                # bit for bit the negation, with +0.0 for every zero
+                assert vec.tobytes() == (0.0 - scheds[v].trades[u]).tobytes()
+                assert not np.any(np.signbit(vec) & (vec == 0.0))
+    zeros = sum(int(np.sum(vec == 0.0)) for s in scheds.values()
+                for vec in s.trades.values())
+    assert zeros > 0
+
+
 def test_decode_refuses_failed_solves():
     bad = QpProblem(n=1, quad=np.zeros((1, 1)), lin=np.zeros(1),
                     rows=(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]),

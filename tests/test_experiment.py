@@ -192,4 +192,4 @@ def test_a_verify_oracle_report_has_pinned_bytes(tmp_path):
                 str(tmp_path / "out"))
     report = (tmp_path / "out" / "oracle.txt").read_bytes()
     assert hashlib.sha256(report).hexdigest() == (
-        "7efeb249bbabe82ccb61c704a46eb7df7261273277cf5df96665c90d976f019f")
+        "f4676d089996d8dba3e64dc888a7a4d9915a1ce4d087174306b864d5096fe3b5")

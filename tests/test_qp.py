@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from qp_oracle import brute_force_qp, random_bounded_qp
 from vppsim import qp
-from vppsim.agent import (LOOP_TOL, build_co_primal, build_sa_problem,
-                          resolve_trade_cap)
+from vppsim.agent import (LOOP_TOL, build_centralized, build_co_primal,
+                          build_sa_problem, resolve_trade_cap)
 from vppsim.experiment import centralized_day, day_profile, day_tariff
 from vppsim.qp import (INFEASIBLE, MAX_ITER, OPTIMAL, UNBOUNDED, QpProblem,
                        QpSettings, QpSolution, QpSolver, kkt_residuals)
@@ -297,10 +297,26 @@ def test_loose_tolerance_stops_sooner_within_its_bound():
 
 
 def test_default_tolerance_keeps_the_oracle5_objective():
-    # the centralized oracle of the 5-household benchmark scenario
+    # the centralized oracle of the 5-household benchmark scenario, at
+    # its polished, KKT-certified optimum
     sc = gen_synthetic(seed=2, users=5, complementary=True)
     objective, _ = centralized_day(sc, 0)
-    assert objective == pytest.approx(-24.9809044003741, rel=1e-9)
+    assert objective == pytest.approx(-24.98090660849684, rel=1e-9)
+
+
+def test_the_two_household_oracle_polishes_to_a_certified_optimum():
+    # the first active-set guess leaves out rows the candidate violates;
+    # the polish adds them on the violated side and re-solves
+    sc = gen_synthetic(seed=2, users=2, complementary=True)
+    slots = sc.horizon.slots
+    prob, _ = build_centralized(
+        [day_profile(u, 0, slots) for u in sc.users],
+        day_tariff(sc.tariff, 0, slots), trade_cap=sc.algo.trade_cap)
+    sol = QpSolver(prob).solve()
+    assert sol.status == OPTIMAL and sol.polished
+    res = kkt_residuals(prob, sol)
+    assert set(res) == {"primal", "dual", "comp", "sign"}
+    assert max(res.values()) <= qp.TOL
 
 
 def _two_household_solver():

@@ -313,19 +313,55 @@ def test_finalize_records_services_then_settles(tmp_path):
     assert all(len(ln.split("\t")) == 4 for ln in lines[1:])
 
 
+def zero_schedules(slots_ub):
+    """All-zero schedules of a 2-slot day, ub's over `slots_ub` slots."""
+    return {u: Schedule(g=z, r=z, l_ac=z, l_fl=z, c=z, d=z, e_fit=z,
+                        e_dr=z, e_as=z, peak=0.0, trades={})
+            for u, z in (("ua", np.zeros(2)), ("ub", np.zeros(slots_ub)))}
+
+
 def test_refused_service_leaves_the_chain_and_events_as_they_were():
     transport = ChainTransport(surplus_pair(2), toy_tariff(2, pi_fit=0.1),
                                AlgoConfig())
-    z2, z3 = np.zeros(2), np.zeros(3)
     # ua's commitments are fine; ub's cover three slots of a 2-slot day
-    schedules = {u: Schedule(g=z, r=z, l_ac=z, l_fl=z, c=z, d=z, e_fit=z,
-                             e_dr=z, e_as=z, peak=0.0, trades={})
-                 for u, z in (("ua", z2), ("ub", z3))}
+    schedules = zero_schedules(3)
     with pytest.raises(TxRejected, match="service vector e_fit"):
         transport.finalize(schedules, toy_tariff(2, pi_fit=0.1))
     assert transport.events == []
     assert transport.chain.next_nonce("ua") == 0
     assert transport.chain.height == 0
+
+
+def test_a_retried_finalize_logs_the_ticks_of_a_fresh_one():
+    tariff = toy_tariff(2, pi_fit=0.1)
+    retried, fresh = (ChainTransport(surplus_pair(2), tariff, AlgoConfig())
+                      for _ in range(2))
+    with pytest.raises(TxRejected):
+        retried.finalize(zero_schedules(3), tariff)
+    retried.finalize(zero_schedules(2), tariff)
+    fresh.finalize(zero_schedules(2), tariff)
+    assert [ev.kind for ev in fresh.events] == \
+        ["service", "service", "block", "settle"]
+    assert retried.events == fresh.events
+    assert retried.tick == fresh.tick
+
+
+def test_a_retried_round_logs_the_ticks_of_a_fresh_one():
+    ids = ["u1", "u2", "u3"]
+    net = NetConfig(latency=(1, 5), timeout=20)
+    logs = []
+    for refuse_first in (True, False):
+        agents = scripted_agents(ids)
+        chain = Chain(ids, ["a0"], 4)
+        rng = np.random.default_rng(0)
+        events = []
+        if refuse_first:
+            short = {**agents, "u3": ShortAgent(["u1", "u2"], 2)}
+            with pytest.raises(TxRejected):
+                run_round(0, short, chain, net, rng, events=events)
+        run_round(0, agents, chain, net, rng, events=events)
+        logs.append([(ev.tick, ev.kind, ev.node) for ev in events])
+    assert logs[0] == logs[1]
 
 
 def test_every_event_ref_names_an_address_in_the_days_chain_log():
