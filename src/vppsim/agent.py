@@ -2,10 +2,11 @@
 
 Maps a UserProfile onto QpProblem data: the stand-alone problem, the
 cooperative trading subproblem, and the centralized problem over all
-households used as the verification oracle.  Each builder writes its
-constraints into one `_Rows` list, in emission order, as the QP's single
-system lo <= A x <= hi, and its objective blocks into a `_Quad`; both
-hold only the entries a row or block touches and build sparse CSR
+households used as the verification oracle.  Each builder collects its
+problem in one `_Problem`: square objective blocks, the linear term and
+constant, and the constraint rows of the QP's single system
+lo <= A x <= hi, one row block per constraint family, in emission
+order.  It holds only the entries a block touches and builds sparse
 matrices, so no builder allocates a dense constraint matrix.  The
 cooperative build is dual-free: it carries the splitting penalty's
 fixed quadratic part, and the coordination state (auxiliary trades and
@@ -20,6 +21,8 @@ then, in the trading subproblem, one trade vector per peer in sorted
 peer-id order.  The centralized problem gives each household its own
 block without trade vectors and each household pair one shared trade
 vector, which the lower id reads as it is and the higher id negated.
+`Layout.trades` is the one address of a household's trade vectors in
+either case.
 """
 
 from __future__ import annotations
@@ -51,24 +54,13 @@ class DecodeError(ValueError):
     """Solution cannot be decoded (wrong status or layout mismatch)."""
 
 
-_F8 = np.dtype(np.float64)
-
-
-def _float_vectors(vectors: dict) -> dict:
-    """vectors with float arrays as values; a map that holds float64
-    arrays only, as the contract's `read_dual` gives, is kept as it is."""
-    if all(type(a) is np.ndarray and a.dtype == _F8
-           for a in vectors.values()):
-        return vectors
-    return {v: np.asarray(a, dtype=float) for v, a in vectors.items()}
-
-
 @dataclass
 class DualSlice:
     """The slice of coordination state one household may see.
 
     aux[v] and mult[v] are this household's auxiliary trade target and
-    multiplier toward peer v; rho is the splitting step.
+    multiplier toward peer v, float64 arrays as the contract's
+    `read_dual` gives them; rho is the splitting step.
     """
 
     aux: dict[str, np.ndarray]
@@ -78,19 +70,30 @@ class DualSlice:
     def __post_init__(self):
         if self.rho <= 0:
             raise InvalidInput(f"rho must be positive, got {self.rho}")
-        self.aux = _float_vectors(self.aux)
-        self.mult = _float_vectors(self.mult)
         if set(self.aux) != set(self.mult):
             raise InvalidInput("aux and mult must cover the same peers")
 
 
 @dataclass
 class Layout:
-    """Index map from (symbol, slot) to a flat variable vector."""
+    """Index map from (symbol, slot) to a flat variable vector.
+
+    The layout owns 9 slot-vectors, the peak and one trade vector per
+    entry of `peers`, from `offset` on.  `trades` maps each peer to the
+    slice and the sign of the vector that holds the household's trade
+    toward it; by default these are the layout's own trade vectors.
+    """
 
     horizon: int
     peers: tuple[str, ...] = ()
     offset: int = 0
+    trades: dict[str, tuple[slice, float]] | None = None
+
+    def __post_init__(self):
+        if self.trades is None:
+            H, base = self.horizon, self.peak + 1
+            self.trades = {v: (slice(base + j * H, base + (j + 1) * H), 1.0)
+                           for j, v in enumerate(self.peers)}
 
     @property
     def n(self) -> int:
@@ -104,11 +107,6 @@ class Layout:
     @property
     def peak(self) -> int:
         return self.offset + len(SLOT_FIELDS) * self.horizon
-
-    def trade(self, peer: str) -> slice:
-        j = self.peers.index(peer)
-        base = self.offset + (len(SLOT_FIELDS) + j) * self.horizon + 1
-        return slice(base, base + self.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -146,49 +144,44 @@ def battery_response(bp: BatteryParams, H: int):
 # assembly
 # ---------------------------------------------------------------------------
 
-class _Rows:
-    """Accumulates sparse constraint rows over n variables, in order."""
+class _Problem:
+    """Accumulates one QP over n variables: square objective blocks, the
+    linear term and constant, and constraint-row blocks in emission
+    order.  Only the entries a block touches are held."""
 
     def __init__(self, n):
-        self.n = n
-        self.cols, self.vals, self.lo, self.hi = [], [], [], []
+        self.n, self.m = n, 0
+        self.lin = np.zeros(n)
+        self.const = 0.0
+        self._quad, self._rows, self._lo, self._hi = [], [], [], []
 
-    def add(self, cols, vals, lo, hi):
-        self.cols.append(np.asarray(cols, dtype=int))
-        self.vals.append(np.asarray(vals, dtype=float))
-        self.lo.append(lo)
-        self.hi.append(hi)
-
-    def build(self):
-        """(A, lo, hi) with A in CSR, one row per `add` call."""
-        indptr = np.cumsum([0] + [c.size for c in self.cols])
-        A = sp.csr_array((np.concatenate(self.vals),
-                          np.concatenate(self.cols), indptr),
-                         shape=(len(self.lo), self.n))
-        return (A, np.array(self.lo, dtype=float),
-                np.array(self.hi, dtype=float))
-
-
-class _Quad:
-    """Accumulates square blocks of the objective matrix over n variables."""
-
-    def __init__(self, n):
-        self.n = n
-        self.rows, self.cols, self.vals = [], [], []
-
-    def add(self, sl: slice, block):
+    def quad(self, sl: slice, block):
         """Add `block` on the variables of `sl`, against themselves."""
         idx = np.arange(sl.start, sl.stop)
-        self.rows.append(np.repeat(idx, idx.size))
-        self.cols.append(np.tile(idx, idx.size))
-        self.vals.append(np.ravel(block))
+        self._quad.append((np.repeat(idx, idx.size), np.tile(idx, idx.size),
+                           np.ravel(block)))
 
-    def build(self):
-        """The CSR matrix; blocks that overlap add."""
-        return sp.csr_array((np.concatenate(self.vals),
-                             (np.concatenate(self.rows),
-                              np.concatenate(self.cols))),
-                            shape=(self.n, self.n))
+    def rows(self, cols, vals, lo, hi):
+        """Append one row per row of the 2-D column block `cols`; a 1-D
+        `cols` is one row.  `vals`, `lo` and `hi` broadcast against it."""
+        cols, vals = np.broadcast_arrays(np.atleast_2d(cols), vals)
+        k, w = cols.shape
+        self._rows.append((np.repeat(np.arange(self.m, self.m + k), w),
+                           cols.ravel(), vals.ravel()))
+        self._lo.append(np.broadcast_to(lo, k))
+        self._hi.append(np.broadcast_to(hi, k))
+        self.m += k
+
+    def build(self) -> QpProblem:
+        def coo(parts, shape):
+            r, c, v = map(np.concatenate, zip(*parts))
+            return sp.coo_array((v, (r, c)), shape=shape)
+
+        A = coo(self._rows, (self.m, self.n))
+        return QpProblem(n=self.n, quad=coo(self._quad, (self.n, self.n)),
+                         lin=self.lin, const=self.const,
+                         rows=(A, np.concatenate(self._lo),
+                               np.concatenate(self._hi)))
 
 
 def _check_buildable(p: UserProfile, T0):
@@ -204,107 +197,82 @@ def _check_buildable(p: UserProfile, T0):
             f"be steered into [{p.ac.t_min}, {p.ac.t_max}]")
 
 
-def _user_block(p: UserProfile, tariff: Tariff, lay: Layout,
-                quad: _Quad, lin, rows: _Rows, trade_cap: float | None,
-                trades: dict | None = None):
-    """Write one household's objective and constraints into the accumulators.
-
-    `trades` maps each peer to the slice and the sign of the household's
-    trade vector toward it; None means the layout's own trade vectors.
-    Returns the objective constant contributed by this household.
-    """
+def _user_block(p: UserProfile, tariff: Tariff, lay: Layout, prob: _Problem):
+    """Write one household's objective and constraints into `prob`, one
+    row block per constraint family; its power balance reads the trade
+    vectors that `lay.trades` names."""
     H = p.horizon
-    if trades is None:
-        trades = {v: (lay.trade(v), 1.0) for v in lay.peers}
     if tariff.pi_dr.size != H:
         raise DimensionError(
             f"tariff series length {tariff.pi_dr.size} != horizon {H}")
     T0, MT = thermal_response(p.exo, p.ac)
     _check_buildable(p, T0)
     Lc, Ld = battery_response(p.battery, H)
-
-    g, r = lay.sl("g"), lay.sl("r")
-    lac, lfl = lay.sl("l_ac"), lay.sl("l_fl")
-    c, d = lay.sl("c"), lay.sl("d")
-    efit, edr, eas = lay.sl("e_fit"), lay.sl("e_dr"), lay.sl("e_as")
-    idx = {k: np.arange(lay.sl(k).start, lay.sl(k).stop) for k in SLOT_FIELDS}
+    idx = dict(zip(SLOT_FIELDS,
+                   np.arange(lay.offset, lay.peak).reshape(-1, H)))
+    lin = prob.lin
 
     # objective: two-part tariff through the peak epigraph variable
-    lin[g] += tariff.alpha
+    lin[lay.sl("g")] += tariff.alpha
     lin[lay.peak] += tariff.beta
     # AC discomfort on the affine temperature response
     dev = T0 - p.ac.tau
-    quad.add(lac, 2.0 * p.ac.omega_ac * (MT.T @ MT))
-    lin[lac] += 2.0 * p.ac.omega_ac * (MT.T @ dev)
-    const = p.ac.omega_ac * float(dev @ dev)
+    prob.quad(lay.sl("l_ac"), 2.0 * p.ac.omega_ac * (MT.T @ MT))
+    lin[lay.sl("l_ac")] += 2.0 * p.ac.omega_ac * (MT.T @ dev)
     # flexible-load discomfort
     ref = p.flex.reference[:H]
-    quad.add(lfl, 2.0 * p.flex.omega_fl * np.eye(H))
-    lin[lfl] += -2.0 * p.flex.omega_fl * ref
-    const += p.flex.omega_fl * float(ref @ ref)
+    prob.quad(lay.sl("l_fl"), 2.0 * p.flex.omega_fl * np.eye(H))
+    lin[lay.sl("l_fl")] += -2.0 * p.flex.omega_fl * ref
+    prob.const += (p.ac.omega_ac * float(dev @ dev)
+                   + p.flex.omega_fl * float(ref @ ref))
     # battery wear, service rewards
-    lin[c] += p.battery.omega_ba
-    lin[d] += p.battery.omega_ba
-    lin[efit] -= tariff.pi_fit
-    lin[edr] -= tariff.pi_dr
-    lin[eas] -= tariff.pi_as
+    lin[lay.sl("c")] += p.battery.omega_ba
+    lin[lay.sl("d")] += p.battery.omega_ba
+    lin[lay.sl("e_fit")] -= tariff.pi_fit
+    lin[lay.sl("e_dr")] -= tariff.pi_dr
+    lin[lay.sl("e_as")] -= tariff.pi_as
 
     # power balance per slot
-    for t in range(H):
-        cols = [idx["l_ac"][t], idx["l_fl"][t], idx["c"][t], idx["e_dr"][t],
-                idx["r"][t], idx["g"][t], idx["d"][t]]
-        vals = [1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0]
-        for sl, sign in trades.values():
-            cols.append(sl.start + t)
-            vals.append(-sign)
-        rows.add(cols, vals, -p.exo.inflexible[t], -p.exo.inflexible[t])
+    balance = ("l_ac", "l_fl", "c", "e_dr", "r", "g", "d")
+    prob.rows(np.column_stack([idx[k] for k in balance]
+                              + [np.arange(sl.start, sl.stop)
+                                 for sl, _ in lay.trades.values()]),
+              [1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0]
+              + [-sign for _, sign in lay.trades.values()],
+              -p.exo.inflexible, -p.exo.inflexible)
     # flexible demand must be met over the horizon
-    rows.add(idx["l_fl"], np.ones(H), p.flex.total, p.flex.total)
-
+    prob.rows(idx["l_fl"], 1.0, p.flex.total, p.flex.total)
     # simple bounds, one variable per row
-    zero, inf = np.zeros(H), np.full(H, np.inf)
-    bounds = (("r", zero, p.exo.renewable_cap),
-              ("g", zero, np.full(H, p.fuse_limit)),
-              ("l_ac", zero, inf),
-              ("l_fl", p.flex.lo, p.flex.hi),
-              ("c", zero, np.full(H, p.battery.max_charge)),
-              ("d", zero, np.full(H, p.battery.max_discharge)),
-              ("e_fit", zero, inf), ("e_dr", zero, inf), ("e_as", zero, inf))
-    for name, lo, hi in bounds:
-        for t in range(H):
-            rows.add([idx[name][t]], [1.0], lo[t], hi[t])
+    bounds = (("r", 0.0, p.exo.renewable_cap), ("g", 0.0, p.fuse_limit),
+              ("l_ac", 0.0, np.inf), ("l_fl", p.flex.lo, p.flex.hi),
+              ("c", 0.0, p.battery.max_charge),
+              ("d", 0.0, p.battery.max_discharge),
+              ("e_fit", 0.0, np.inf), ("e_dr", 0.0, np.inf),
+              ("e_as", 0.0, np.inf))
+    names, lo, hi = zip(*bounds)
+    prob.rows(np.concatenate([idx[k] for k in names])[:, None], 1.0,
+              np.concatenate([np.broadcast_to(b, H) for b in lo]),
+              np.concatenate([np.broadcast_to(b, H) for b in hi]))
     # temperature window on the affine response; MT[0] is zero, so the
     # first slot's window is the bound _check_buildable already enforced
-    for t in range(1, H):
-        rows.add(idx["l_ac"], MT[t], p.ac.t_min - T0[t], p.ac.t_max - T0[t])
+    prob.rows(idx["l_ac"], MT[1:], p.ac.t_min - T0[1:], p.ac.t_max - T0[1:])
     # battery level window on the cumulative response
-    for t in range(H):
-        cols = np.concatenate([idx["c"], idx["d"]])
-        vals = np.concatenate([Lc[t], -Ld[t]])
-        rows.add(cols, vals, -p.battery.b_init,
-                p.battery.capacity - p.battery.b_init)
+    cd = np.concatenate([idx["c"], idx["d"]])
+    prob.rows(cd, np.hstack([Lc, -Ld]), -p.battery.b_init,
+              p.battery.capacity - p.battery.b_init)
     # feed-in bounded by unused renewable: e_fit + r <= cap
-    for t in range(H):
-        rows.add([idx["e_fit"][t], idx["r"][t]], [1.0, 1.0],
-                -np.inf, p.exo.renewable_cap[t])
+    prob.rows(np.column_stack([idx["e_fit"], idx["r"]]), 1.0, -np.inf,
+              p.exo.renewable_cap)
     # demand response bounded by grid import: e_dr - g <= 0
-    for t in range(H):
-        rows.add([idx["e_dr"][t], idx["g"][t]], [1.0, -1.0], -np.inf, 0.0)
+    prob.rows(np.column_stack([idx["e_dr"], idx["g"]]), [1.0, -1.0],
+              -np.inf, 0.0)
     # ancillary bounded by state of charge: e_as - b <= b_init
-    for t in range(H):
-        cols = np.concatenate([[idx["e_as"][t]], idx["c"], idx["d"]])
-        vals = np.concatenate([[1.0], -Lc[t], Ld[t]])
-        rows.add(cols, vals, -np.inf, p.battery.b_init)
+    prob.rows(np.column_stack([idx["e_as"], np.tile(cd, (H, 1))]),
+              np.column_stack([np.ones(H), -Lc, Ld]), -np.inf,
+              p.battery.b_init)
     # peak epigraph: g - peak <= 0
-    for t in range(H):
-        rows.add([idx["g"][t], lay.peak], [1.0, -1.0], -np.inf, 0.0)
-    # trade box
-    if lay.peers and trade_cap is not None:
-        for v in lay.peers:
-            tr = lay.trade(v)
-            for t in range(H):
-                rows.add([tr.start + t], [1.0], -trade_cap, trade_cap)
-    return const
+    prob.rows(np.column_stack([idx["g"], np.full(H, lay.peak)]), [1.0, -1.0],
+              -np.inf, 0.0)
 
 
 def build_sa_problem(p: UserProfile, tariff: Tariff):
@@ -315,14 +283,9 @@ def build_sa_problem(p: UserProfile, tariff: Tariff):
     (QpProblem, Layout)
     """
     lay = Layout(horizon=p.horizon)
-    n = lay.n
-    quad = _Quad(n)
-    lin = np.zeros(n)
-    rows = _Rows(n)
-    const = _user_block(p, tariff, lay, quad, lin, rows, None)
-    prob = QpProblem(n=n, quad=quad.build(), lin=lin, rows=rows.build(),
-                     const=const)
-    return prob, lay
+    prob = _Problem(lay.n)
+    _user_block(p, tariff, lay, prob)
+    return prob.build(), lay
 
 
 def admm_terms(dual: DualSlice, lay: Layout):
@@ -332,24 +295,25 @@ def admm_terms(dual: DualSlice, lay: Layout):
     peer v, -(rho * aux_v + mult_v)' p_v + rho/2 * |aux_v|^2.  With the
     base problem's rho/2 * |p_v|^2 this is the splitting penalty
     rho/2 * |aux_v - p_v|^2 plus the multiplier term -mult_v' p_v.
+    `lay` is a trading subproblem's layout, which owns its trade vectors.
     """
     lin = np.zeros(lay.n)
     const = 0.0
-    for v in lay.peers:
+    for v, (sl, _) in lay.trades.items():
         a, m = dual.aux[v], dual.mult[v]
-        sl = lay.trade(v)
-        lin[sl.start - lay.offset:sl.stop - lay.offset] = -dual.rho * a - m
+        lin[sl] = -dual.rho * a - m
         const += 0.5 * dual.rho * float(a @ a)
     return lin, const
 
 
 def build_co_primal(p: UserProfile, tariff: Tariff, peers, rho: float,
-                    trade_cap: float | None = None):
+                    trade_cap: float):
     """Cooperative trading subproblem for one household, dual-free.
 
-    Adds, per peer v and slot t, the trade payment pi_p2p * p_v[t] and the
-    fixed quadratic part rho/2 * p_v[t]^2 of the splitting penalty; the
-    terms that move with the coordination state come from `admm_terms`.
+    Adds, per peer v and slot t, the trade payment pi_p2p * p_v[t], the
+    fixed quadratic part rho/2 * p_v[t]^2 of the splitting penalty and
+    the trade box |p_v[t]| <= trade_cap; the terms that move with the
+    coordination state come from `admm_terms`.
 
     Returns
     -------
@@ -363,18 +327,15 @@ def build_co_primal(p: UserProfile, tariff: Tariff, peers, rho: float,
     if rho <= 0:
         raise InvalidInput(f"rho must be positive, got {rho}")
     lay = Layout(horizon=p.horizon, peers=peers)
-    n = lay.n
-    quad = _Quad(n)
-    lin = np.zeros(n)
-    rows = _Rows(n)
-    const = _user_block(p, tariff, lay, quad, lin, rows, trade_cap)
-    for v in peers:
-        sl = lay.trade(v)
-        quad.add(sl, rho * np.eye(p.horizon))
-        lin[sl] += tariff.pi_p2p
-    prob = QpProblem(n=n, quad=quad.build(), lin=lin, rows=rows.build(),
-                     const=const)
-    return prob, lay
+    prob = _Problem(lay.n)
+    _user_block(p, tariff, lay, prob)
+    # the trade vectors follow the peak
+    trade = slice(lay.peak + 1, lay.n)
+    prob.rows(np.arange(trade.start, trade.stop)[:, None], 1.0, -trade_cap,
+              trade_cap)
+    prob.quad(trade, rho * np.eye(trade.stop - trade.start))
+    prob.lin[trade] += tariff.pi_p2p
+    return prob.build(), lay
 
 
 def resolve_trade_cap(trade_cap: float | None, profiles) -> float:
@@ -403,9 +364,9 @@ def build_centralized(profiles, tariff: Tariff,
 
     Returns
     -------
-    (QpProblem, dict user_id -> (Layout, trades)), where trades maps
-    each peer to the slice and the sign of the pair vector that holds
-    the household's trade toward it; `decode_all` reads it.
+    (QpProblem, dict user_id -> Layout), each layout's `trades` naming
+    the pair vectors and signs of the household's trades; `decode_all`
+    reads them.
     """
     profiles = sorted(profiles, key=lambda p: p.user_id)
     ids = [p.user_id for p in profiles]
@@ -420,8 +381,6 @@ def build_centralized(profiles, tariff: Tariff,
     trade_cap = resolve_trade_cap(trade_cap, profiles)
 
     own = Layout(horizon=H).n
-    layouts = {u: Layout(horizon=H, offset=i * own)
-               for i, u in enumerate(ids)}
     trades = {u: {} for u in ids}
     first = n = own * len(ids)
     for i, u in enumerate(ids):
@@ -429,36 +388,27 @@ def build_centralized(profiles, tariff: Tariff,
             sl = slice(n, n + H)
             trades[u][v], trades[v][u] = (sl, 1.0), (sl, -1.0)
             n += H
-    quad = _Quad(n)
-    lin = np.zeros(n)
-    rows = _Rows(n)
-    const = 0.0
+    layouts = {u: Layout(horizon=H, offset=i * own, trades=trades[u])
+               for i, u in enumerate(ids)}
+    prob = _Problem(n)
     for p in profiles:
-        u = p.user_id
-        const += _user_block(p, tariff, layouts[u], quad, lin, rows, None,
-                             trades[u])
+        _user_block(p, tariff, layouts[p.user_id], prob)
     # one trade box per pair and slot
-    for j in range(first, n):
-        rows.add([j], [1.0], -trade_cap, trade_cap)
-    prob = QpProblem(n=n, quad=quad.build(), lin=lin, rows=rows.build(),
-                     const=const)
-    return prob, {u: (layouts[u], trades[u]) for u in ids}
+    prob.rows(np.arange(first, n)[:, None], 1.0, -trade_cap, trade_cap)
+    return prob.build(), layouts
 
 
 # ---------------------------------------------------------------------------
 # decoding
 # ---------------------------------------------------------------------------
 
-def decode(sol: QpSolution, lay: Layout, trades: dict | None = None
-           ) -> Schedule:
+def decode(sol: QpSolution, lay: Layout) -> Schedule:
     """Turn a solved vector back into a Schedule.
 
-    `trades` maps each peer to the slice and the sign of the vector that
-    holds the household's trade toward it, as `build_centralized` gives
-    them; None reads the layout's own trade vectors.  Magnitudes below
-    1e-10 are clamped to exact zeros, after the sign, so no decoded
-    vector holds a -0.0.  Raises DecodeError unless the solution status
-    is optimal.
+    Each trade vector is read from where `lay.trades` places it, with its
+    sign.  Magnitudes below 1e-10 are clamped to exact zeros, after the
+    sign, so no decoded vector holds a -0.0.  Raises DecodeError unless
+    the solution status is optimal.
     """
     if sol.status != OPTIMAL:
         raise DecodeError(f"cannot decode solution with status {sol.status}")
@@ -475,17 +425,14 @@ def decode(sol: QpSolution, lay: Layout, trades: dict | None = None
     peak = float(x[lay.peak])
     if abs(peak) < ZERO_CLAMP:
         peak = 0.0
-    if trades is None:
-        trades = {v: (lay.trade(v), 1.0) for v in lay.peers}
     return Schedule(peak=peak, trades={
-        v: clamp(sign * x[sl]) for v, (sl, sign) in trades.items()}, **kw)
+        v: clamp(sign * x[sl]) for v, (sl, sign) in lay.trades.items()}, **kw)
 
 
 def decode_all(sol: QpSolution, layouts: dict) -> dict:
     """Decode a centralized solution into per-household schedules, each
     with its signed trade vectors."""
-    return {u: decode(sol, lay, trades)
-            for u, (lay, trades) in layouts.items()}
+    return {u: decode(sol, lay) for u, lay in layouts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +478,7 @@ class AgentRuntime:
         dlin, dconst = admm_terms(dual, self.layout)
         self._terms = (self.problem.lin + dlin, self.problem.const + dconst)
         self._solve(LOOP_TOL)
-        return {v: self.schedule.trades[v].copy() for v in self.layout.peers}
+        return {v: vec.copy() for v, vec in self.schedule.trades.items()}
 
     def finish(self):
         """Re-solve the last round at TOL, warm, and decode from that solve."""

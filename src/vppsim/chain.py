@@ -234,8 +234,8 @@ class Transaction:
     read-only float64 array of the transaction's own, each map a
     read-only mapping and each other list a tuple, so no edit can make
     the content differ from the id.  `to_record` writes the payload back
-    as plain dicts and lists, so the log stays canonical JSON.  Two
-    transactions are equal when their ids are, which covers every field.
+    as plain dicts and lists, so the log stays canonical JSON.  The id
+    covers every field, so two transactions compare by `txid`.
     """
     sender: str
     nonce: int
@@ -247,14 +247,6 @@ class Transaction:
         object.__setattr__(self, "payload", _vectors(self.payload))
         object.__setattr__(self, "txid", _tx_id(self.sender, self.nonce,
                                                 self.kind, self.payload))
-
-    def __eq__(self, other):
-        if not isinstance(other, Transaction):
-            return NotImplemented
-        return self.txid == other.txid
-
-    def __hash__(self):
-        return hash(self.txid)
 
     def to_record(self) -> dict:
         return {**vars(self), "payload": _plain(self.payload)}

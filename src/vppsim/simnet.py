@@ -12,7 +12,10 @@ the transport hands the trading loop that state itself.
 Every tick of a round is drawn before any agent solves, so a round that
 would time out leaves the chain as it found it; the draws advance the
 latency stream only once the round's block is sealed, so a retried
-round repeats the ticks of a fault-free one.  A fixed seed fixes
+round repeats the ticks of a fault-free one.  Only the latency stream
+is rewound: the agents solve before the block is sealed, so a refused
+round still advances each agent's warm start and solve count, and a
+retry's trades start from there.  A fixed seed fixes
 every latency draw, so at a fixed BLAS thread count (see qp.py) the
 full tick-by-tick event log is reproducible; arrival order never
 matters because the update only runs on the complete trade map.
@@ -115,7 +118,9 @@ def run_round(k: int, agents: dict, chain: Chain, cfg: NetConfig, rng,
     the chain and the event log stay as they were.  rng is rewound
     after the draws and moved past them only once the block is sealed,
     so a round that times out or fails leaves rng as it was too, and a
-    retry draws the same ticks.
+    retry draws the same ticks.  Only rng is rewound: the agents' solves
+    come before `produce_block`, so a refused batch still advances each
+    agent's warm start and solve count.
     """
     state = chain.state()
     if state.round != k:

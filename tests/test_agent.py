@@ -25,7 +25,7 @@ def test_layout_sizes_and_slices():
     three = Layout(horizon=24, peers=("a", "b", "c"))
     assert three.n == 217 + 3 * 24
     assert lay.sl("e_as") == slice(192, 216)
-    assert three.trade("b") == slice(217 + 24, 217 + 48)
+    assert three.trades["b"] == (slice(217 + 24, 217 + 48), 1.0)
 
 
 def test_thermal_response_matches_recursion():
@@ -86,11 +86,11 @@ def test_cooperative_build_rejects_bad_peer_sets():
     p = toy_profile(H=2)
     tariff = toy_tariff(2)
     with pytest.raises(BuildError):
-        build_co_primal(p, tariff, [], 1.0)
+        build_co_primal(p, tariff, [], 1.0, 4.0)
     with pytest.raises(BuildError):
-        build_co_primal(p, tariff, [p.user_id], 1.0)
+        build_co_primal(p, tariff, [p.user_id], 1.0, 4.0)
     with pytest.raises(InvalidInput):
-        build_co_primal(p, tariff, ["vx"], 0.0)
+        build_co_primal(p, tariff, ["vx"], 0.0, 4.0)
 
 
 def _digest(prob):
@@ -120,19 +120,26 @@ def test_built_problems_are_pinned():
     assert _digest(co) == ("1d2724dad4442194eab741768c5e3b17"
                            "f58633cf2e7d7278e8ce769b01d40f38")
     assert sa.const == co.const == 0.598512224965009
+    # the centralized build, pair vectors and their trade box included
+    cent, _ = build_centralized(_three_households(), toy_tariff(3))
+    assert cent.rows[0].shape == (153, 93)
+    assert _digest(cent) == ("81e855e5c7dcef8d5cb79b204c812a5a"
+                             "31c5a858bd9d5ba7e926678bb72d1d91")
 
 
 def test_admm_terms_reproduce_the_penalty():
     # rho/2 * (aux - p)^2 at p = 0 is the returned constant.
     lay = Layout(horizon=1, peers=("v",))
-    dual = DualSlice(aux={"v": [1.0]}, mult={"v": [0.0]}, rho=2.0)
+    dual = DualSlice(aux={"v": np.array([1.0])}, mult={"v": np.array([0.0])},
+                     rho=2.0)
     lin, const = admm_terms(dual, lay)
+    sl, _ = lay.trades["v"]
     assert const == pytest.approx(1.0)
-    assert lin[lay.trade("v")][0] == pytest.approx(-2.0)
+    assert lin[sl][0] == pytest.approx(-2.0)
     # full quadratic check at an arbitrary trade value
     p = 0.7
     penalty = 0.5 * 2.0 * (1.0 - p) ** 2
-    assert const + lin[lay.trade("v")][0] * p + 0.5 * 2.0 * p ** 2 == \
+    assert const + lin[sl][0] * p + 0.5 * 2.0 * p ** 2 == \
         pytest.approx(penalty)
 
 
@@ -201,8 +208,8 @@ def test_centralized_build_has_one_trade_vector_per_pair():
     own = Layout(horizon=H).n
     assert prob.n == N * (9 * H + 1) + H * N * (N - 1) // 2
     pair_cols = np.arange(N * own, prob.n)
-    assert {sl.start for _, trades in lays.values()
-            for sl, _ in trades.values()} == set(pair_cols[::H])
+    assert {sl.start for lay in lays.values()
+            for sl, _ in lay.trades.values()} == set(pair_cols[::H])
     A, lo, hi = prob.rows
     counts = np.diff(A.indptr)
     # no pair-consistency row p_uv + p_vu = 0 is left
@@ -226,8 +233,8 @@ def test_decoded_pair_trades_are_exact_negatives_without_negative_zeros():
     # the solve's own vector, then one whose pair entries are signed zeros
     # and solver dust on both sides of the clamp
     x = solved.x.copy()
-    first = min(sl.start for _, trades in lays.values()
-                for sl, _ in trades.values())
+    first = min(sl.start for lay in lays.values()
+                for sl, _ in lay.trades.values())
     x[first:] = np.resize([0.0, -0.0, 1e-12, -1e-12, 0.25, -1.5],
                           prob.n - first)
     dusty = qp.QpSolution(x=x, y=solved.y, status=qp.OPTIMAL,

@@ -221,7 +221,7 @@ def test_arrays_and_their_lists_have_one_digest(obj):
     tx = Transaction("u", 0, "any", {"v": obj})
     assert tx.txid == digest({"sender": "u", "nonce": 0, "kind": "any",
                               "payload": {"v": _plain(obj)}})
-    assert _from_log(tx) == tx
+    assert _from_log(tx).txid == tx.txid
 
 
 @settings(max_examples=200, deadline=None)
@@ -234,7 +234,6 @@ def test_trading_id_is_the_same_live_and_replayed(trades):
     assert replayed.txid == tx.txid \
         == trading_tx("u", 3, lists).txid \
         == _tx_id("u", 3, "trading", {"user": "u", "trades": lists})
-    assert replayed == tx
     for v, vec in replayed.payload["trades"].items():
         assert vec.dtype == np.float64 and not vec.flags.writeable
         assert vec.tobytes() == trades[v].tobytes()
@@ -272,9 +271,8 @@ def test_transaction_vectors_are_read_only_and_its_own():
             with pytest.raises(ValueError):
                 vec[0] = 9.0
     assert txid == _tx_id("u", 0, "trading", _plain(tx.payload))
-    # equality and hashing go by id and never compare arrays elementwise
-    assert tx == fed and hash(tx) == hash(fed) and len({tx, fed}) == 1
-    assert tx != trading_tx("u", 1, {"v": live, "w": np.array(logged)})
+    assert txid != trading_tx("u", 1, {"v": live,
+                                       "w": np.array(logged)}).txid
     service = service_tx("u", 0, live, [1.0, 2.0, 3.0], np.zeros(3))
     live[1] = 7.0
     assert service.payload["e_fit"].tolist() == [9.0, -0.0, 1.0]

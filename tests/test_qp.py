@@ -671,6 +671,28 @@ def test_survey_seed_11_household_u02_still_polishes():
     assert max(res.values()) <= qp.TOL
 
 
+def test_a_stalled_solve_is_rescued_by_a_certified_polish(monkeypatch):
+    # the residuals of this stand-alone day stall: the rescue's polish
+    # fails at iteration 4,000 and is certified at 6,000; without it the
+    # solve runs 200,000 iterations to the same objective
+    calls = []
+    rescue = QpSolver._rescue
+
+    def spy(self, x, y, z, q, cn, iterations):
+        cand = rescue(self, x, y, z, q, cn, iterations)
+        calls.append((iterations, cand is not None))
+        return cand
+
+    monkeypatch.setattr(QpSolver, "_rescue", spy)
+    prob, sol = _standalone(6, "u02", users=2)
+    assert prob.n == 217
+    assert calls == [(4000, False), (6000, True)]
+    assert sol.status == OPTIMAL and sol.polished
+    assert sol.iterations == 6000
+    assert sol.objective == pytest.approx(2.6456571331672123, rel=1e-9)
+    assert max(kkt_residuals(prob, sol).values()) <= qp.TOL
+
+
 def test_polish_refuses_a_multiplier_on_a_missing_bound():
     # min 0.5 x^2 + x  s.t.  x >= -2: the optimum is x = -1, off the bound.
     # Pinning the row gives x = -2 with y = +1, a stationary point whose
