@@ -176,6 +176,20 @@ def test_the_co3_day_has_a_pinned_tip():
     assert int(rounds) == 58
 
 
+# the stand-alone baseline of the co3 scenario: every household's
+# polished solve, summed
+STAND_ALONE = """
+from vppsim.experiment import run_sa
+from vppsim.scenario_io import gen_synthetic
+run = run_sa(gen_synthetic(seed=1, users=3, complementary=True))
+print(repr(sum(run.costs.values())))
+"""
+
+
+def test_the_stand_alone_total_is_pinned():
+    assert _run_pinned(STAND_ALONE).split() == ["-2.863164040817642"]
+
+
 # a 2-household, 2-day verify-oracle run: day 1 starts from the battery
 # levels day 0 of the trading run ended on
 VERIFY_ORACLE = """

@@ -287,10 +287,11 @@ def test_loose_tolerance_stops_sooner_within_its_bound():
             iterations[tol] = sol.iterations
         # the stopping test at the loose tolerance holds at the returned
         # iterate, with the same scaling as the tight one
-        r_prim, r_dual, eps_p, eps_d = solver._residuals(*solver._last, lin,
-                                                         loose_tol)
+        r_prim, r_dual, scale_p, scale_d = solver._residuals(*solver._last,
+                                                             lin)
         assert sol.residuals == {"primal": r_prim, "dual": r_dual}
-        assert r_prim <= eps_p and r_dual <= eps_d
+        assert r_prim <= loose_tol + loose_tol * scale_p
+        assert r_dual <= loose_tol + loose_tol * scale_d
         assert iterations[loose_tol] <= iterations[qp.TOL]
         fewer += iterations[loose_tol] < iterations[qp.TOL]
     assert fewer > 0
@@ -307,16 +308,87 @@ def test_default_tolerance_keeps_the_oracle5_objective():
 def test_the_two_household_oracle_polishes_to_a_certified_optimum():
     # the first active-set guess leaves out rows the candidate violates;
     # the polish adds them on the violated side and re-solves
-    sc = gen_synthetic(seed=2, users=2, complementary=True)
-    slots = sc.horizon.slots
-    prob, _ = build_centralized(
-        [day_profile(u, 0, slots) for u in sc.users],
-        day_tariff(sc.tariff, 0, slots), trade_cap=sc.algo.trade_cap)
+    prob = _two_household_oracle()
     sol = QpSolver(prob).solve()
     assert sol.status == OPTIMAL and sol.polished
     res = kkt_residuals(prob, sol)
     assert set(res) == {"primal", "dual", "comp", "sign"}
     assert max(res.values()) <= qp.TOL
+
+
+def _two_household_oracle():
+    sc = gen_synthetic(seed=2, users=2, complementary=True)
+    slots = sc.horizon.slots
+    prob, _ = build_centralized(
+        [day_profile(u, 0, slots) for u in sc.users],
+        day_tariff(sc.tariff, 0, slots), trade_cap=sc.algo.trade_cap)
+    return prob
+
+
+def _spy_rescue(monkeypatch, result=None):
+    """Record each `_rescue` call as (iteration, certified); with
+    `result` given, every call returns it instead of its own answer."""
+    calls = []
+    rescue = QpSolver._rescue
+
+    def spy(self, x, y, z, q, cn, iterations):
+        cand = rescue(self, x, y, z, q, cn, iterations)
+        calls.append((iterations, cand is not None))
+        return cand if result is None else result()
+
+    monkeypatch.setattr(QpSolver, "_rescue", spy)
+    return calls
+
+
+def test_the_early_polish_returns_the_answer_of_a_run_to_tol(monkeypatch):
+    prob = _two_household_oracle()
+    with monkeypatch.context() as m:
+        # no residual meets a zero tolerance: the iteration runs to TOL
+        m.setattr(qp, "POLISH_TRY_TOL", 0.0)
+        ref = QpSolver(prob).solve()
+    calls = _spy_rescue(monkeypatch)
+    sol = QpSolver(prob).solve()
+    assert calls == [(sol.iterations, True)]
+    assert sol.status == ref.status == OPTIMAL
+    assert sol.polished and ref.polished
+    assert sol.iterations < ref.iterations
+    assert sol.x.tobytes() == ref.x.tobytes()
+    assert sol.objective == ref.objective
+    assert max(kkt_residuals(prob, sol).values()) <= qp.TOL
+
+
+def test_a_failed_early_polish_leaves_the_iteration_as_it_was(monkeypatch):
+    prob = _two_household_oracle()
+    with monkeypatch.context() as m:
+        m.setattr(qp, "POLISH_TRY_TOL", 0.0)
+        ref = QpSolver(prob).solve()
+    calls = _spy_rescue(monkeypatch, result=lambda: None)
+    solver = QpSolver(prob)
+    sol = solver.solve()
+    # one early try, which the stand-in refuses, then the run to TOL
+    assert len(calls) == 1 and calls[0][0] < ref.iterations
+    assert sol.iterations == ref.iterations
+    assert sol.x.tobytes() == ref.x.tobytes()
+    assert sol.y.tobytes() == ref.y.tobytes()
+    assert sol.objective == ref.objective
+    assert sol.status == OPTIMAL and sol.polished
+
+
+def test_round_solves_never_try_the_polish(monkeypatch):
+    calls = _spy_rescue(monkeypatch)
+    sol = QpSolver(_two_household_oracle(),
+                   QpSettings(polish=False)).solve()
+    assert sol.status == OPTIMAL and not sol.polished
+    assert calls == []
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_a_bad_tolerance_is_refused_by_name(tol):
+    # unrefused, tol = 0, -1 or NaN ran 4,000 iterations to a stall, where
+    # the rescue reported the polish optimal
+    solver = QpSolver(_unit_problem())
+    with pytest.raises(qp.QpError, match="^tol must be a positive finite"):
+        solver.solve(tol=tol)
 
 
 def _two_household_solver():
@@ -452,12 +524,13 @@ def _reference_admm(shadow, q, tol, start):
         if it % qp.CHECK_EVERY == 0:
             Ax, Px, Aty = M @ x, P @ x, MT @ y
             r_prim, r_dual = norm(Ax - z), norm(Px + q + Aty)
-            if (r_prim <= tol + tol * max(norm(Ax), norm(z))
-                    and r_dual
-                    <= tol + tol * max(norm(Px), norm(Aty), norm(q))):
+            scale_p = max(norm(Ax), norm(z))
+            scale_d = max(norm(Px), norm(Aty), norm(q))
+            if (r_prim <= tol + tol * scale_p
+                    and r_dual <= tol + tol * scale_d):
                 return x, y, it
             if it % qp.ADAPT_EVERY == 0:
-                shadow._rebalance(x, y, z, q, r_prim, r_dual)
+                shadow._rebalance(r_prim, r_dual, scale_p, scale_d)
     raise AssertionError("reference iteration hit the budget")
 
 
@@ -675,15 +748,7 @@ def test_a_stalled_solve_is_rescued_by_a_certified_polish(monkeypatch):
     # the residuals of this stand-alone day stall: the rescue's polish
     # fails at iteration 4,000 and is certified at 6,000; without it the
     # solve runs 200,000 iterations to the same objective
-    calls = []
-    rescue = QpSolver._rescue
-
-    def spy(self, x, y, z, q, cn, iterations):
-        cand = rescue(self, x, y, z, q, cn, iterations)
-        calls.append((iterations, cand is not None))
-        return cand
-
-    monkeypatch.setattr(QpSolver, "_rescue", spy)
+    calls = _spy_rescue(monkeypatch)
     prob, sol = _standalone(6, "u02", users=2)
     assert prob.n == 217
     assert calls == [(4000, False), (6000, True)]
